@@ -14,8 +14,9 @@ import datetime
 import math
 import sys
 import time
-import warnings
 from typing import Sequence
+
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .core import (
@@ -29,7 +30,7 @@ from .core import (
     tau_critical,
     zero_locus_solve,
 )
-from .kacrice import count_expected, kac_rice_eval
+from .kacrice import QuadratureError, count_expected, kac_rice_eval
 from .rates import big_l, big_l_left, i_max, sigma_max_projected
 from .rmt import (
     GOESpec,
@@ -494,7 +495,10 @@ def cmd_experiment(res: Resolver) -> int:
         overlap_windows = res.get_list("overlap_window", _conv_window)
         value_window = res.get("value_window", _conv_window)
         which_raw = res.get("which", _conv_str, default="total")
-        which = which_raw if which_raw in ("total", "max") else int(which_raw)
+        try:
+            which = int(which_raw)
+        except ValueError:
+            which = which_raw
         inputs.update(
             {
                 "p": params.p,
@@ -512,37 +516,40 @@ def cmd_experiment(res: Resolver) -> int:
         if name == "kacrice-count":
             trials = res.get("trials", _conv_int, required=True)
             budget = res.get("budget", _conv_int, default=200)
-            est = count_expected(
-                params,
-                n,
-                trials,
-                seed=seed,
-                overlap_windows=overlap_windows,
-                value_window=value_window,
-                which=which,
-                budget=budget,
-            )
+            try:
+                est = count_expected(
+                    params,
+                    n,
+                    trials,
+                    seed=seed,
+                    overlap_windows=overlap_windows,
+                    value_window=value_window,
+                    which=which,
+                    budget=budget,
+                )
+            except LinAlgError:
+                raise
+            except ValueError as exc:
+                raise UsageError(str(exc))
             inputs.update({"trials": trials, "budget": budget})
         else:
             inner = res.get("inner_trials", _conv_int, default=2048)
             batches = res.get("batches", _conv_int, default=8)
             if which not in ("total", "max"):
                 raise UsageError("kacrice-formula supports which in {total, max}")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate_warning())
-                try:
-                    est = kac_rice_eval(
-                        params,
-                        n,
-                        overlap_windows=overlap_windows,
-                        value_window=value_window,
-                        inner_trials=inner,
-                        which=which,
-                        seed=seed,
-                        batches=batches,
-                    )
-                except Warning as exc:
-                    raise ConvergenceError(f"quadrature did not converge: {exc}")
+            try:
+                est = kac_rice_eval(
+                    params,
+                    n,
+                    overlap_windows=overlap_windows,
+                    value_window=value_window,
+                    inner_trials=inner,
+                    which=which,
+                    seed=seed,
+                    batches=batches,
+                )
+            except QuadratureError as exc:
+                raise ConvergenceError(f"quadrature did not converge: {exc}")
             inputs.update({"inner_trials": inner, "batches": batches})
             trials = inner
         estimate, std_error = est.value, est.std_error
@@ -565,12 +572,6 @@ def cmd_experiment(res: Resolver) -> int:
     }
     _write_text(res.get("out", _conv_str), to_json(doc) + "\n")
     return 0
-
-
-def integrate_warning():
-    from scipy.integrate import IntegrationWarning
-
-    return IntegrationWarning
 
 
 # ---------------------------------------------------------------------------

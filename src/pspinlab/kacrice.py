@@ -4,19 +4,20 @@ the exact expected-count integral.
 
 The random part is a symmetrized Gaussian p-tensor scaled so that the field
 has covariance <sigma, sigma'>^p / (2n) on the unit sphere of R^n; spikes sit
-on the first r coordinate axes.  At n = 2 the critical points of the induced
-trigonometric polynomial are found exhaustively by a dense scan of the circle;
-for n >= 3 a budgeted multistart Riemannian Newton search is best-effort.
+on the first r coordinate axes.  At n = 2 the critical points are the zeros
+of a trigonometric polynomial, found exactly as the unit-circle roots of its
+companion matrix; for n >= 3 a budgeted multistart Riemannian Newton search
+is best-effort.  The expected-count integral is a Gauss-Legendre rule, split
+at the kinks of |det H| and checked by refinement.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from .core import ModelParams, s_func, t_func
@@ -30,6 +31,7 @@ __all__ = [
     "find_critical_points",
     "count_expected",
     "kac_rice_eval",
+    "QuadratureError",
     "c_constant",
     "sphere_surface",
 ]
@@ -79,6 +81,9 @@ class CriticalPoint:
     index counts strictly negative directions of the tangent Hessian;
     degenerate marks eigenvalues inside the numerical zero band, and such
     points are excluded from index-resolved counts downstream.
+    ill_conditioned marks a circle root whose companion eigenvalue sat off
+    |z| = 1 by more than 1e-10, or whose polished gradient residual exceeds
+    the tolerance.
     """
 
     position: tuple[float, ...]
@@ -87,6 +92,7 @@ class CriticalPoint:
     index: int
     residual: float
     degenerate: bool
+    ill_conditioned: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +175,26 @@ def _classify_index(h_tan: np.ndarray) -> tuple[int, bool]:
     return index, degenerate
 
 
-# ---------------------------------------------------------------------------
-# exhaustive search on the circle (n = 2)
+def _critical_point(poly: SpikedPolynomial, sigma: np.ndarray) -> CriticalPoint:
+    g_tan, h_tan, _ = _riemannian_data(poly, sigma)
+    index, degenerate = _classify_index(h_tan)
+    return CriticalPoint(
+        position=tuple(sigma),
+        value=_value(poly, sigma),
+        overlaps=tuple(sigma[: poly.params.r]),
+        index=index,
+        residual=float(np.linalg.norm(g_tan)),
+        degenerate=degenerate,
+    )
 
-_CIRCLE_SAMPLES = 100_000
+
+# ---------------------------------------------------------------------------
+# exact roots on the circle (n = 2)
+
+# Companion roots this close to |z| = 1 are taken as critical points; those
+# off by more than _MODULUS_TOL are flagged ill-conditioned.
+_MODULUS_BAND = 1e-6
+_MODULUS_TOL = 1e-10
 
 
 def _circle_derivative(poly: SpikedPolynomial, phi: np.ndarray) -> np.ndarray:
@@ -192,50 +214,38 @@ def _circle_derivative(poly: SpikedPolynomial, phi: np.ndarray) -> np.ndarray:
     return np.sum(g * tan, axis=0)
 
 
-def _circle_derivative_scalar(poly: SpikedPolynomial, phi: float) -> float:
-    sigma = np.array([math.cos(phi), math.sin(phi)])
-    tangent = np.array([-math.sin(phi), math.cos(phi)])
-    return float(np.dot(_grad(poly, sigma), tangent))
+def _circle_roots(poly: SpikedPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Every zero of the circle derivative, and how far off |z| = 1 the
+    companion root it came from lies.
+
+    On the circle the derivative is a trigonometric polynomial
+    g(phi) = sum_{|j| <= D} c_j e^{i j phi} of degree D = max(p, k_i).  Its
+    coefficients come from one FFT of 4D + 4 samples, its zeros are the
+    unit-modulus roots of z^D g, a polynomial of degree 2D, and each angle is
+    polished by one Newton step on the series.
+    """
+    degree = max(poly.params.p, *poly.params.k)
+    samples = 4 * degree + 4
+    freq = np.arange(-degree, degree + 1)
+    phi = 2.0 * math.pi * np.arange(samples) / samples
+    coef = np.fft.fft(_circle_derivative(poly, phi))[freq] / samples
+    z = np.roots(coef[::-1])
+    off = np.abs(np.abs(z) - 1.0)
+    on_circle = off <= _MODULUS_BAND
+    angle = np.angle(z[on_circle])
+    waves = coef * np.exp(1j * np.outer(angle, freq))
+    angle -= waves.sum(axis=1).real / (waves @ (1j * freq)).real
+    return angle, off[on_circle]
 
 
 def _find_on_circle(poly: SpikedPolynomial, tol: float) -> list[CriticalPoint]:
-    phi = np.linspace(0.0, 2.0 * math.pi, _CIRCLE_SAMPLES, endpoint=False)
-    d = _circle_derivative(poly, phi)
-    step = 2.0 * math.pi / _CIRCLE_SAMPLES
-
-    points: list[CriticalPoint] = []
-    d_next = np.roll(d, -1)
-    for j in np.nonzero((d * d_next < 0.0) | (d == 0.0))[0]:
-        a, b = phi[j], phi[j] + step
-        fa = float(d[j])
-        if fa == 0.0:
-            root = a
-        else:
-            fb = float(d_next[j])
-            for _ in range(60):
-                c = 0.5 * (a + b)
-                fc = _circle_derivative_scalar(poly, c)
-                if fc == 0.0:
-                    a = b = c
-                    break
-                if fa * fc < 0.0:
-                    b, fb = c, fc
-                else:
-                    a, fa = c, fc
-            root = 0.5 * (a + b)
-        sigma = np.array([math.cos(root), math.sin(root)])
-        g_tan, h_tan, _ = _riemannian_data(poly, sigma)
-        index, degenerate = _classify_index(h_tan)
-        points.append(
-            CriticalPoint(
-                position=tuple(sigma),
-                value=_value(poly, sigma),
-                overlaps=tuple(sigma[: poly.params.r]),
-                index=index,
-                residual=float(np.linalg.norm(g_tan)),
-                degenerate=degenerate,
-            )
-        )
+    angles, off = _circle_roots(poly)
+    points = []
+    for phi, dz in zip(angles, off):
+        pt = _critical_point(poly, np.array([math.cos(phi), math.sin(phi)]))
+        if dz > _MODULUS_TOL or pt.residual > tol:
+            pt = replace(pt, ill_conditioned=True)
+        points.append(pt)
     points.sort(key=lambda c: (c.value, c.position))
     return points
 
@@ -297,20 +307,7 @@ def _find_multistart(
         if fresh:
             found.append(sigma)
 
-    points = []
-    for sigma in found:
-        g_tan, h_tan, _ = _riemannian_data(poly, sigma)
-        index, degenerate = _classify_index(h_tan)
-        points.append(
-            CriticalPoint(
-                position=tuple(sigma),
-                value=_value(poly, sigma),
-                overlaps=tuple(sigma[: poly.params.r]),
-                index=index,
-                residual=float(np.linalg.norm(g_tan)),
-                degenerate=degenerate,
-            )
-        )
+    points = [_critical_point(poly, sigma) for sigma in found]
     points.sort(key=lambda c: (c.value, c.position))
     return points
 
@@ -318,10 +315,14 @@ def _find_multistart(
 def find_critical_points(
     poly: SpikedPolynomial, tol: float = 1e-10, budget: int = 200
 ) -> list[CriticalPoint]:
-    """All critical points of the sampled landscape (n = 2: exhaustive dense
-    scan of the circle plus bisection; n >= 3: budget-limited multistart
-    Newton, best-effort).  Points closer than 1e-6 in geodesic distance are
-    merged; antipodes are distinct critical points and are never identified.
+    """All critical points of the sampled landscape.
+
+    n = 2: every zero of the circle derivative, as the unit-modulus roots of
+    its companion polynomial, each polished by one Newton step; roots that
+    fail the modulus or residual (tol) check are kept and marked
+    ill_conditioned.  n >= 3: budget-limited multistart Newton, best-effort;
+    points closer than 1e-6 in geodesic distance are merged.  Antipodes are
+    distinct critical points and are never identified.
     """
     if poly.n == 2:
         return _find_on_circle(poly, tol)
@@ -345,17 +346,24 @@ def count_expected(
 ) -> MCEstimate:
     """Monte Carlo mean of the exact critical-point count over fresh landscapes.
 
-    which is "total" or a Morse index; index-resolved counts exclude
-    degenerate points, whose per-trial mean rides along in extras together
-    with the completeness flag (guaranteed only on the circle).
+    which is "total", a Morse index, or "max" (index n - 1); index-resolved
+    counts exclude degenerate points, whose per-trial mean rides along in
+    extras together with the completeness flag (guaranteed only on the
+    circle) and the number of ill-conditioned circle roots.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if which == "max":
+        which = n - 1
+    elif isinstance(which, str) and which != "total":
+        raise ValueError(f'which must be "total", "max" or a Morse index, got {which!r}')
     counts = np.empty(trials)
     degenerate_counts = np.empty(trials)
+    ill_conditioned = 0
     for t in range(trials):
         poly = build_polynomial(params, n, (seed, t))
         pts = find_critical_points(poly, tol=tol, budget=budget)
+        ill_conditioned += sum(pt.ill_conditioned for pt in pts)
         c = 0
         dc = 0
         for pt in pts:
@@ -380,6 +388,7 @@ def count_expected(
     extras = {
         "complete": n == 2,
         "mean_degenerate": float(np.mean(degenerate_counts)),
+        "ill_conditioned_roots": ill_conditioned,
     }
     return MCEstimate(float(np.mean(counts)), se, trials, seed, extras)
 
@@ -402,6 +411,26 @@ def c_constant(n: int, r: int, p: int) -> float:
     )
 
 
+# Gauss-Legendre nodes per axis (per smooth piece on the value axis) of the
+# first rule, and the cap on (nodes per axis)^(r + 1) of the finest rule tried
+# before the refinement check gives up: 512 per axis at r = 1, 64 at r = 2.
+_FIRST_NODES = 16
+_MAX_TENSOR_NODES = 1 << 18
+# Doubles per array pass over (draws, value nodes, eigenvalues); passes this
+# small keep numpy's temporaries out of fresh page-faulting allocations.
+_CHUNK = 1 << 14
+
+
+class QuadratureError(ArithmeticError):
+    """The Gauss rule did not meet its refinement check within the node cap."""
+
+
+def _gauss_legendre(nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
+
+
 def kac_rice_eval(
     params: ModelParams,
     n: int,
@@ -414,15 +443,26 @@ def kac_rice_eval(
     epsrel: float = 1e-4,
 ) -> MCEstimate:
     """Expected number of critical points (or local maxima) at finite n, by
-    adaptive quadrature of the exact expected-count integral.
+    Gauss-Legendre quadrature of the exact expected-count integral.
 
     The overlap integral runs in angle coordinates m_i = sin(psi_i), which
-    absorbs the (1 - alpha) endpoint singularity at n = 2; the conditional
-    determinant E|det H| is estimated by common-random-number Monte Carlo
-    (the same GOE draws at every quadrature node, so the integrand stays
-    smooth).  The standard error comes from rerunning the quadrature on
-    disjoint trial batches; trials whose determinant underflows to zero are
-    excluded and counted in extras.
+    absorbs the (1 - alpha) endpoint singularity at n = 2 (and at r = 1 in
+    general); the conditional determinant E|det H| is estimated by
+    common-random-number Monte Carlo, with the same GOE draws W at every node.
+
+    At each overlap node the eigenvalues mu of W + diag(gamma) are computed
+    once per draw.  As a function of the value x, |det H| = prod |mu - t(x)|
+    has a kink at each mu, so the value axis is split there and each smooth
+    piece gets its own Gauss rule; log|det H| is the sum of log|mu - t|, so no
+    trial underflows, and for "max" only the piece above the top eigenvalue
+    counts.  All value nodes of all draws go through array passes of a
+    bounded size.
+
+    The rule doubles from _FIRST_NODES nodes per axis (and per piece) until
+    two successive rules agree to epsrel on every batch, and the finer one is
+    returned; QuadratureError is raised when that needs a rule finer than the
+    node cap.  The standard error comes from the spread of the disjoint trial
+    batches.
     """
     if params.r > n - 1:
         raise ValueError("the expected-count integral needs r <= n - 1")
@@ -444,10 +484,10 @@ def kac_rice_eval(
     lam_sum = sum(params.lam)
     if value_window is None:
         value_window = (-lam_sum - 9.0, lam_sum + 9.0)
+    x_lo, x_hi = value_window
 
     m_dim = n - 1
     root = math.sqrt(n / (n - 1))
-    underflow = [0]
 
     # one GOE(n-1) draw per inner trial, shared across all quadrature nodes
     def draw(t: int) -> np.ndarray:
@@ -455,62 +495,80 @@ def kac_rice_eval(
         a = rng.normal(size=(m_dim, m_dim))
         return (a + a.T) / math.sqrt(2.0 * m_dim)
 
-    all_ws = np.stack([draw(t) for t in range(inner_trials)])
-
-    def batch_integral(ws: np.ndarray) -> float:
-        def integrand(*args) -> float:
-            x = args[0]
-            psis = args[1:]
-            m = [math.sin(ps) for ps in psis]
-            alpha = sum(v * v for v in m)
-            if alpha >= 1.0 - 1e-13:
-                return 0.0
-            s = s_func(params, m, x)
-            jac = 1.0
-            for ps in psis:
-                jac *= math.cos(ps)
-            dens = (1.0 - alpha) ** (-0.5 * (r + 2)) * math.exp(n * s) * jac
-            if dens == 0.0:
-                return 0.0
-            gam = spike_eigenvalues(params, m)
-            shift = np.zeros(m_dim)
-            shift[: len(gam)] = gam
-            shift = root * (shift - t_func(params, m, x))
-            hs = ws.copy()
-            hs[:, np.arange(m_dim), np.arange(m_dim)] += shift
-            dets = np.abs(np.linalg.det(hs)) if m_dim > 1 else np.abs(hs[:, 0, 0])
-            if which == "max":
-                if m_dim > 1:
-                    top = np.linalg.eigvalsh(hs)[:, -1]
-                else:
-                    top = hs[:, 0, 0]
-                dets = dets * (top <= 0.0)
-            zero = dets == 0.0
-            if which != "max" and np.any(zero):
-                underflow[0] += int(np.sum(zero))
-                keep = dets[~zero]
-                if len(keep) == 0:
-                    return 0.0
-                mean_det = float(np.mean(keep))
-            else:
-                mean_det = float(np.mean(dets))
-            return dens * mean_det
-
-        ranges = [value_window] + psi_ranges
-        val, _ = integrate.nquad(
-            integrand,
-            ranges,
-            opts={"epsrel": epsrel, "epsabs": 1e-12, "limit": 200},
-        )
-        return c_constant(n, r, params.p) * val
-
     per_batch = inner_trials // batches
-    vals = []
-    for b in range(batches):
-        ws = all_ws[b * per_batch : (b + 1) * per_batch]
-        vals.append(batch_integral(ws))
-    vals = np.array(vals)
-    value = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(batches) if batches > 1 else math.nan
-    extras = {"underflow_trials": underflow[0], "batches": batches}
+    ws = np.stack([draw(t) for t in range(per_batch * batches)])
+    spiked = np.arange(r)
+
+    def value_integrals(m: np.ndarray, xi: np.ndarray, wi: np.ndarray) -> np.ndarray:
+        """Per draw, the value-axis integral of exp(n s) |det H| at overlap m."""
+        s_at = s_func(params, m, np.array([-1.0, 0.0, 1.0]))
+        if not np.all(np.isfinite(s_at)):
+            return np.zeros(len(ws))
+        # s(x) is quadratic and the Hessian shift root * t(x) = a + b x is
+        # affine and rising in x
+        s0, s1, s2 = s_at[1], 0.5 * (s_at[2] - s_at[0]), 0.5 * (s_at[2] + s_at[0]) - s_at[1]
+        a, b = root * t_func(params, m, np.array([0.0, 1.0]))
+        b -= a
+        hs = ws.copy()
+        hs[:, spiked, spiked] += root * spike_eigenvalues(params, m)
+        mu = np.linalg.eigvalsh(hs)
+        kinks = np.clip((mu - a) / b, x_lo, x_hi)
+        edges = np.concatenate(
+            [np.full((len(ws), 1), x_lo), kinks, np.full((len(ws), 1), x_hi)], axis=1
+        )
+        if which == "max":
+            # H is negative definite only above its top eigenvalue
+            edges = edges[:, -2:]
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        out = np.empty(len(ws))
+        step = max(1, _CHUNK // (half.shape[1] * len(xi) * m_dim))
+        for lo in range(0, len(ws), step):
+            part = slice(lo, lo + step)
+            x = mid[part, :, None] + half[part, :, None] * xi
+            log_det = np.log(np.abs(mu[part, None, None, :] - (a + b * x)[..., None])).sum(axis=-1)
+            vals = half[part, :, None] * wi * np.exp(n * (s0 + x * (s1 + s2 * x)) + log_det)
+            out[part] = vals.sum(axis=(1, 2))
+        return out
+
+    def rule(nodes: int) -> np.ndarray:
+        """Per-batch integrals under the nodes-per-axis rule."""
+        axes = [_gauss_legendre(nodes, lo, hi) for lo, hi in psi_ranges]
+        xi, wi = np.polynomial.legendre.leggauss(nodes)
+        sums = np.zeros(len(ws))
+        for combo in itertools.product(range(nodes), repeat=r):
+            psis = np.array([axes[i][0][j] for i, j in enumerate(combo)])
+            m = np.sin(psis)
+            alpha = float(m @ m)
+            if alpha >= 1.0 - 1e-13:
+                continue
+            jac = math.prod(axes[i][1][j] for i, j in enumerate(combo))
+            jac *= math.prod(np.cos(psis)) * (1.0 - alpha) ** (-0.5 * (r + 2))
+            sums += jac * value_integrals(m, xi, wi)
+        return c_constant(n, r, params.p) * sums.reshape(batches, per_batch).mean(axis=1)
+
+    nodes = _FIRST_NODES
+    coarse = rule(nodes)
+    while (2 * nodes) ** (r + 1) <= _MAX_TENSOR_NODES:
+        nodes *= 2
+        fine = rule(nodes)
+        diff = np.abs(fine - coarse)
+        scale = np.abs(fine)
+        rel_gap = float(np.max(np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0.0)))
+        if np.all(diff <= np.maximum(epsrel * scale, 1e-12)):
+            break
+        coarse = fine
+    else:
+        raise QuadratureError(
+            f"Gauss rules up to {nodes} nodes per axis still differ beyond epsrel = {epsrel}"
+        )
+
+    value = float(np.mean(fine))
+    se = float(np.std(fine, ddof=1)) / math.sqrt(batches) if batches > 1 else math.nan
+    extras = {
+        "underflow_trials": 0,
+        "batches": batches,
+        "quadrature_nodes": nodes,
+        "quadrature_rel_gap": rel_gap,
+    }
     return MCEstimate(value, se, inner_trials, seed, extras)

@@ -203,3 +203,37 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,i_max,L,L_left")
+
+def _kacrice(tmp_path, name, *extra):
+    out = tmp_path / f"{name}.json"
+    rc = run_cli(["experiment", "--experiment", name, "--p", "3", "--r", "1",
+                  "--lam", "0.0", "--n", "2", "--seed", "1", "--out", str(out),
+                  *extra])
+    return rc, (json.loads(out.read_text()) if rc == 0 else None)
+
+
+def test_kacrice_count_which_max(tmp_path):
+    rc, top = _kacrice(tmp_path, "kacrice-count", "--trials", "20", "--which", "max")
+    assert rc == 0
+    rc, by_index = _kacrice(tmp_path, "kacrice-count", "--trials", "20", "--which", "1")
+    assert rc == 0
+    assert top["estimate"] == by_index["estimate"] > 0.0
+    assert top["extras"]["ill_conditioned_roots"] == 0
+
+
+def test_kacrice_count_bad_which_exit_code(tmp_path):
+    rc, _ = _kacrice(tmp_path, "kacrice-count", "--trials", "5", "--which", "min")
+    assert rc == 2
+
+
+def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
+    from pspinlab import kacrice
+
+    monkeypatch.setattr(kacrice, "_FIRST_NODES", 2)
+    monkeypatch.setattr(kacrice, "_MAX_TENSOR_NODES", 16)
+    rc, _ = _kacrice(tmp_path, "kacrice-formula", "--inner-trials", "64", "--batches", "2")
+    assert rc == 3
+    monkeypatch.undo()
+    rc, doc = _kacrice(tmp_path, "kacrice-formula", "--inner-trials", "64", "--batches", "2")
+    assert rc == 0
+    assert doc["extras"]["quadrature_rel_gap"] <= 1e-4

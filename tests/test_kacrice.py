@@ -132,3 +132,197 @@ def test_value_window_restricts_formula():
     )
     # odd symmetry: half of the critical values lie below zero
     assert low.value == pytest.approx(0.5 * full.value, rel=0.2)
+
+
+# ---------------------------------------------------------------------------
+# exact circle roots against dense scans
+
+def _scan_grid(samples):
+    """Equispaced angles and the cubic monomials c^3, c^2 s, c s^2, s^3 there."""
+    phi = 2.0 * math.pi * np.arange(samples) / samples
+    c, s = np.cos(phi), np.sin(phi)
+    return phi, np.column_stack([c**3, c * c * s, c * s * s, s**3])
+
+
+def _scan_brackets(poly, grid):
+    """Left ends of the sign-change brackets of the circle derivative on the
+    grid, evaluated straight from the tensor entries (p = k = 3, r = 1)."""
+    phi, cubics = grid
+    t = poly.tensor
+    lam = poly.params.lam[0]
+    # 3 T(sigma, sigma, tangent) - 3 lam cos^2 sin in the cubic monomials
+    coef = 3.0 * np.array([
+        t[1, 0, 0],
+        2.0 * t[1, 0, 1] - t[0, 0, 0] - lam,
+        t[1, 1, 1] - 2.0 * t[0, 0, 1],
+        -t[0, 1, 1],
+    ])
+    d = cubics @ coef
+    return phi[np.nonzero(d * np.roll(d, -1) < 0.0)[0]]
+
+
+def test_circle_roots_match_fine_scan():
+    samples = 10**6
+    step = 2.0 * math.pi / samples
+    grid = _scan_grid(samples)
+    landscapes = 0
+    for lam in (0.0, 1.0, 3.0):
+        params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
+        for t in range(70):
+            poly = build_polynomial(params, 2, (31, t))
+            pts = find_critical_points(poly)
+            brackets = _scan_brackets(poly, grid)
+            assert len(pts) == len(brackets)
+            angles = np.sort(np.mod([math.atan2(c.position[1], c.position[0]) for c in pts], 2.0 * math.pi))
+            assert np.all((angles >= brackets - 1e-12) & (angles <= brackets + step + 1e-12))
+            assert not any(c.ill_conditioned for c in pts)
+            landscapes += 1
+    assert landscapes >= 200
+
+
+def _close_pair_landscape(half_gap):
+    """A landscape with two critical points half_gap either side of phi0.
+
+    With g0 the circle derivative of the coupling part and -3 cos^2 sin that
+    of cos^3, g0 + lam (-3 cos^2 sin) vanishes where lam = ratio(phi); at a
+    local extremum phi0 of ratio the two roots merge, and moving lam by
+    ratio''(phi0) half_gap^2 / 2 splits them by 2 half_gap.
+    """
+    from scipy.optimize import minimize_scalar
+
+    from pspinlab.kacrice import SpikedPolynomial, _circle_derivative
+
+    # the coupling is negated so that the merging strength is positive
+    drawn = build_polynomial(P0, 2, (3, 0))
+    base = SpikedPolynomial(P0, 2, drawn.seed, -drawn.tensor)
+
+    def ratio(phi):
+        g0 = _circle_derivative(base, np.array([phi]))[0]
+        return g0 / (3.0 * math.cos(phi) ** 2 * math.sin(phi))
+
+    # for this coupling ratio has a local maximum near phi = 2.29
+    grid = np.linspace(2.2, 2.4, 2001)
+    vals = np.array([ratio(v) for v in grid])
+    guess = grid[np.argmax(vals)]
+    phi0 = minimize_scalar(
+        lambda v: -ratio(v), bounds=(guess - 1e-3, guess + 1e-3),
+        method="bounded", options={"xatol": 1e-12},
+    ).x
+    h = 1e-3
+    curv = (ratio(phi0 + h) - 2.0 * ratio(phi0) + ratio(phi0 - h)) / h**2
+    lam = ratio(phi0) + 0.5 * curv * half_gap**2
+    params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
+    return SpikedPolynomial(params, 2, drawn.seed, base.tensor), phi0
+
+
+def test_close_root_pair_counted():
+    # the pair is 2e-5 apart, under the 2 pi / 1e5 spacing of a 1e5-sample
+    # scan, which sees no sign change between them
+    half_gap = 1e-5
+    poly, phi0 = _close_pair_landscape(half_gap)
+    pts = find_critical_points(poly)
+    offsets = sorted(
+        math.remainder(math.atan2(c.position[1], c.position[0]) - phi0, 2.0 * math.pi)
+        for c in pts
+    )
+    near = [v for v in offsets if abs(v) < 2.0 * math.pi / 10**5]
+    assert len(near) == 2
+    assert near[0] == pytest.approx(-half_gap, rel=0.05)
+    assert near[1] == pytest.approx(half_gap, rel=0.05)
+    assert not any(c.ill_conditioned for c in pts)
+    # odd landscape: the antipodal pair is there as well, and the coarse
+    # scan misses both pairs
+    assert len(pts) == len(_scan_brackets(poly, _scan_grid(10**5))) + 4
+
+
+# ---------------------------------------------------------------------------
+# the Gauss rule against an adaptive-quadrature oracle
+
+def _nquad_oracle(params, n, trials, seed, which):
+    """The expected-count integral over the draws of one batch, by nested
+    adaptive quadrature of the pointwise integrand (default windows)."""
+    import warnings
+
+    from scipy import integrate
+
+    from pspinlab import s_func, spike_eigenvalues, t_func
+
+    m_dim, r = n - 1, params.r
+    root = math.sqrt(n / (n - 1))
+    ws = []
+    for t in range(trials):
+        a = np.random.default_rng((seed, t)).normal(size=(m_dim, m_dim))
+        ws.append((a + a.T) / math.sqrt(2.0 * m_dim))
+    ws = np.stack(ws)
+    diag = np.arange(m_dim)
+
+    def integrand(x, *psis):
+        m = [math.sin(v) for v in psis]
+        alpha = sum(v * v for v in m)
+        if alpha >= 1.0 - 1e-13:
+            return 0.0
+        dens = (
+            (1.0 - alpha) ** (-0.5 * (r + 2))
+            * math.exp(n * s_func(params, m, x))
+            * math.prod(math.cos(v) for v in psis)
+        )
+        if dens == 0.0:
+            return 0.0
+        shift = np.zeros(m_dim)
+        shift[:r] = spike_eigenvalues(params, m)
+        hs = ws.copy()
+        hs[:, diag, diag] += root * (shift - t_func(params, m, x))
+        dets = np.abs(np.linalg.det(hs))
+        if which == "max":
+            dets *= np.linalg.eigvalsh(hs)[:, -1] <= 0.0
+        return dens * float(np.mean(dets))
+
+    lam_sum = sum(params.lam)
+    ranges = [(-lam_sum - 9.0, lam_sum + 9.0)] + [(-math.pi / 2, math.pi / 2)] * r
+    with warnings.catch_warnings():
+        # kinks of |det| slow the adaptive rule; its accuracy is what the
+        # comparison checks
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.nquad(
+            integrand, ranges, opts={"epsrel": 1e-5, "epsabs": 1e-12, "limit": 200}
+        )
+    return c_constant(n, r, params.p) * val
+
+
+@pytest.mark.parametrize(
+    "params, n, which",
+    [(P1, 2, "total"), (P1, 2, "max"), (P0, 3, "total")],
+    ids=["n2-total", "n2-max", "n3-total"],
+)
+def test_gauss_rule_matches_nquad_oracle(params, n, which):
+    est = kac_rice_eval(params, n, inner_trials=64, batches=1, seed=5, which=which)
+    want = _nquad_oracle(params, n, 64, 5, which)
+    assert est.value == pytest.approx(want, rel=1e-4)
+    assert est.extras["quadrature_rel_gap"] <= 1e-4
+    assert est.extras["underflow_trials"] == 0
+
+
+def test_gauss_rule_node_cap_raises(monkeypatch):
+    from pspinlab import QuadratureError, kacrice
+
+    monkeypatch.setattr(kacrice, "_FIRST_NODES", 2)
+    monkeypatch.setattr(kacrice, "_MAX_TENSOR_NODES", 16)
+    with pytest.raises(QuadratureError):
+        kac_rice_eval(P1, 2, inner_trials=64, batches=2, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# index selection in direct counts
+
+def test_count_which_max_is_top_index():
+    maxs = count_expected(P0, 2, 20, seed=1, which="max")
+    top = count_expected(P0, 2, 20, seed=1, which=1)
+    assert maxs.value == top.value > 0.0
+    assert count_expected(P0, 3, 2, seed=1, which="max", budget=20).value == (
+        count_expected(P0, 3, 2, seed=1, which=2, budget=20).value
+    )
+
+
+def test_count_which_rejects_unknown_label():
+    with pytest.raises(ValueError):
+        count_expected(P0, 2, 5, seed=1, which="min")
