@@ -118,11 +118,8 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise exc
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +128,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError:
-        raise
+    with open(path) as fh:
+        lines = fh.readlines()
     out: dict[str, str] = {}
     for line in lines:
         line = line.strip()
@@ -163,15 +157,7 @@ class Resolver:
             if required:
                 raise UsageError(f"missing required option --{name.replace('_', '-')}")
             return default
-        if isinstance(raw, list):
-            raw = [conv(v) for v in raw]
-            return raw
-        try:
-            return conv(raw)
-        except UsageError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for --{name.replace('_', '-')}: {exc}")
+        return _convert(name, conv, raw)
 
     def get_list(self, name: str, conv, default=None):
         raw = getattr(self.args, name, None)
@@ -180,7 +166,14 @@ class Resolver:
             if cfg is None:
                 return default
             raw = [v for v in cfg.split(";") if v]
-        return [conv(v) for v in raw]
+        return [_convert(name, conv, v) for v in raw]
+
+
+def _convert(name: str, conv, raw):
+    try:
+        return conv(raw)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad value for --{name.replace('_', '-')}: {exc}")
 
 
 def _conv_int(v) -> int:
@@ -209,16 +202,33 @@ def _conv_ints(v) -> tuple[int, ...]:
     return tuple(int(tok) for tok in v.split(","))
 
 
-def _conv_axis(v) -> tuple[float, float, int]:
+def _conv_range(v) -> tuple[float, float, int]:
     parts = str(v).split(":")
     if len(parts) != 3:
-        raise UsageError(f"axis must be MIN:MAX:STEPS, got {v!r}")
+        raise UsageError(f"range must be MIN:MAX:STEPS, got {v!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if steps < 1 or (steps > 1 and not lo < hi):
+        raise UsageError("range must have MIN < MAX and STEPS >= 1")
+    return lo, hi, steps
+
+
+def _ticks(lo: float, hi: float, steps: int) -> list[float]:
+    """steps evenly spaced values from lo to hi; just lo when steps == 1."""
+    return [lo + (hi - lo) * j / max(steps - 1, 1) for j in range(steps)]
+
+
+def _conv_axis(v) -> tuple[float, float, int]:
+    lo, hi, steps = _conv_range(v)
     if steps < 2:
         raise UsageError("axis needs at least 2 steps")
     if not (0.0 <= lo < hi <= 1.0):
         raise UsageError("axis range must satisfy 0 <= MIN < MAX <= 1")
     return lo, hi, steps
+
+
+def _conv_fix(v) -> tuple[int, float]:
+    idx, _, val = str(v).partition(":")
+    return int(idx), float(val)
 
 
 def _conv_window(v) -> tuple[float, float]:
@@ -280,23 +290,17 @@ def cmd_grid(res: Resolver) -> int:
     axes = res.get_list("axis", _conv_axis)
     if axes is None:
         raise UsageError("missing required option --axis")
-    fixes = res.get_list("fix", _conv_str, default=[])
-    fixed: dict[int, float] = {}
-    for fx in fixes:
-        idx, _, val = str(fx).partition(":")
-        fixed[int(idx)] = float(val)
+    fixed = dict(res.get_list("fix", _conv_fix, default=[]))
+    if any(not 0 <= i < params.r for i in fixed):
+        raise UsageError(f"--fix index must lie in [0, {params.r - 1}]")
     swept = [i for i in range(params.r) if i not in fixed]
     if len(axes) != len(swept):
         raise UsageError(
             f"need one --axis per swept coordinate ({len(swept)}), got {len(axes)}"
         )
-    if len(swept) > 2:
-        raise UsageError("full grids support at most 2 swept coordinates; use --fix")
+    if not 1 <= len(swept) <= 2:
+        raise UsageError("full grids sweep 1 or 2 coordinates; use --fix for the rest")
     out = res.get("out", _conv_str)
-
-    def grids(axis):
-        lo, hi, steps = axis
-        return [lo + (hi - lo) * j / (steps - 1) for j in range(steps)]
 
     def evaluate(m: list[float]):
         if quantity == "sigma_tot":
@@ -321,12 +325,8 @@ def cmd_grid(res: Resolver) -> int:
     if quantity == "regime":
         header += ",regime"
     rows = [header]
-    if len(swept) == 1:
-        values1 = grids(axes[0])
-        values2 = [None]
-    else:
-        values1 = grids(axes[0])
-        values2 = grids(axes[1])
+    values1 = _ticks(*axes[0])
+    values2 = _ticks(*axes[1]) if len(swept) == 2 else [None]
     for v1 in values1:
         for v2 in values2:
             m = [0.0] * params.r
@@ -405,10 +405,9 @@ def cmd_rate(res: Resolver) -> int:
     singles = res.get_list("t", _conv_float)
     if singles:
         ts.extend(singles)
-    rng = res.get("t_range", _conv_axis_like_any)
+    rng = res.get("t_range", _conv_range)
     if rng is not None:
-        lo, hi, steps = rng
-        ts.extend(lo + (hi - lo) * j / (steps - 1) for j in range(steps))
+        ts.extend(_ticks(*rng))
     if not ts:
         raise UsageError("need --t or --t-range")
     rows = ["t,i_max,L,L_left"]
@@ -427,24 +426,11 @@ def cmd_rate(res: Resolver) -> int:
     return 0
 
 
-def _conv_axis_like_any(v) -> tuple[float, float, int]:
-    parts = str(v).split(":")
-    if len(parts) != 3:
-        raise UsageError(f"range must be MIN:MAX:STEPS, got {v!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 1 or (steps > 1 and not lo < hi):
-        raise UsageError("range must have MIN < MAX and STEPS >= 1")
-    if steps == 1:
-        return lo, lo, 1
-    return lo, hi, steps
-
-
 def cmd_experiment(res: Resolver) -> int:
     name = res.get("experiment", _conv_str, required=True)
     if name not in EXPERIMENTS:
         raise UsageError(f"experiment must be one of {EXPERIMENTS}")
     seed = res.get("seed", _conv_int, required=True)
-    threads = res.get("threads", _conv_int, default=1)
     started = time.perf_counter()
     inputs: dict = {"seed": seed}
     theory = None
@@ -467,15 +453,15 @@ def cmd_experiment(res: Resolver) -> int:
         else:
             trials = res.get("trials", _conv_int, required=True)
             if name == "mc-det":
-                est = mc_log_abs_det(spec, trials, threads=threads)
+                est = mc_log_abs_det(spec, trials)
                 theory = phi_star(shift)
             elif name == "mc-restricted":
-                est = mc_restricted_det(spec, trials, threads=threads)
+                est = mc_restricted_det(spec, trials)
                 theory = phi_star(shift) - big_l(gam_desc, shift)
             else:
                 t = res.get("t", _conv_float, required=True)
                 inputs["t"] = t
-                est = mc_lambda_max_tail(spec, trials, t, threads=threads)
+                est = mc_lambda_max_tail(spec, trials, t)
                 theory = -big_l(gam_desc, t) if shift == 0.0 else None
             estimate, std_error = est.value, est.std_error
             extras.update(est.extras)
@@ -485,7 +471,7 @@ def cmd_experiment(res: Resolver) -> int:
         gamma = res.get("gamma", _conv_floats, required=True)
         diag = res.get("diag", _conv_floats, required=True)
         trials = res.get("trials", _conv_int, required=True)
-        est = spherical_integral_mc(n, gamma, diag, trials, seed=seed, threads=threads)
+        est = spherical_integral_mc(n, gamma, diag, trials, seed=seed)
         estimate, std_error = est.value, est.std_error
         extras.update(est.extras)
         inputs.update({"n": n, "gamma": list(gamma), "diag": list(diag), "trials": trials})
@@ -527,7 +513,7 @@ def cmd_experiment(res: Resolver) -> int:
                     which=which,
                     budget=budget,
                 )
-            except LinAlgError:
+            except LinAlgError:  # a ValueError subclass, but not a usage error
                 raise
             except ValueError as exc:
                 raise UsageError(str(exc))
@@ -584,7 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed")
         p.add_argument("--out")
-        p.add_argument("--threads")
         p.add_argument("--config")
 
     def add_model(p: argparse.ArgumentParser) -> None:

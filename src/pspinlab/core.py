@@ -21,7 +21,6 @@ from typing import Sequence
 
 __all__ = [
     "ModelParams",
-    "OverlapPoint",
     "AuxStatistics",
     "RegimeLabel",
     "tau_critical",
@@ -72,20 +71,6 @@ class ModelParams:
             raise ValueError(f"spike strengths must be >= 0, got {self.lam}")
         if any(self.lam[i] < self.lam[i + 1] for i in range(self.r - 1)):
             raise ValueError(f"lam must be non-increasing, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class OverlapPoint:
-    """A point in overlap space; alpha is its squared Euclidean norm."""
-
-    m: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-
-    @property
-    def alpha(self) -> float:
-        return sum(v * v for v in self.m)
 
 
 class RegimeLabel(IntEnum):

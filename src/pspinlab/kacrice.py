@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import ModelParams, s_func, t_func
 from .rmt import MCEstimate
@@ -398,14 +397,14 @@ def count_expected(
 
 def sphere_surface(dim: int) -> float:
     """Surface measure of the unit sphere S^{dim-1} in R^dim."""
-    return float(2.0 * math.exp(0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim)))
+    return float(2.0 * math.exp(0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)))
 
 
 def c_constant(n: int, r: int, p: int) -> float:
     """The exact dimensional constant in front of the expected-count integral."""
     return float(
         2.0
-        * math.exp(0.5 * (n - 1) * math.log((n - 1) / (2.0 * math.e)) - gammaln(0.5 * (n - r)))
+        * math.exp(0.5 * (n - 1) * math.log((n - 1) / (2.0 * math.e)) - math.lgamma(0.5 * (n - r)))
         * math.pi ** (-0.5 * (r - 1))
         * math.sqrt(n / ((p - 1) * math.e * math.pi))
     )

@@ -3,17 +3,24 @@ matrix, and the local-maxima complexity built on top of them.
 
 All rates are at speed N with the bulk spectrum normalized to [-2, 2].  A
 spike of size gamma detaches an eigenvalue at gamma + 1/gamma once gamma > 1;
-below that it is invisible at this scale.  Library functions are closed form
-throughout; quadrature appears only in the test oracles.
+below that it is invisible at this scale.  Every function here is closed form:
+sigma_max_projected maximizes piece by piece through the roots of a
+quadratic, with no numerical search.  Quadrature and scalar searches appear
+only in the test oracles.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from scipy import optimize
-
-from .core import ModelParams, edge_area, phi_star, sigma_tot_joint, t_func, y_shift
+from .core import (
+    ModelParams,
+    _profile_parts,
+    edge_area,
+    phi_star,
+    sigma_tot_joint,
+    t_func,
+)
 from .spikes import spike_eigenvalues
 
 __all__ = [
@@ -163,38 +170,46 @@ def sigma_max_joint(params: ModelParams, m: Sequence[float], x: float) -> float:
 
 
 def sigma_max_projected(params: ModelParams, m: Sequence[float]) -> float:
-    """sup over x of sigma_max_joint(m, x).
+    """sup over x of sigma_max_joint(m, x), solved exactly.
 
-    The objective is smooth between breakpoints where the Hessian shift
-    crosses the bulk edge or a spike's typical location, so each piece is
-    maximized separately with a bounded scalar search.
+    In the Hessian shift t = t_func(m, x) = c (x - shift), c = sqrt(2p/(p-1)),
+    the objective is finite only for t >= 2 and has breakpoints at 2 and at
+    the typical locations e_g = g + 1/g of the supercritical spikes.  On a
+    piece where K such spikes, of sum G, have e_g above t, its t-derivative
+    is a t - b sqrt(t^2 - 4) + d with
+        a = 1/2 - (p-1)/p - K/4,  b = 1/2 + K/4,  d = 2 tau / c + G/2,
+    where tau is the effective shift of aux_statistics.
+    Since b > |a| the piece is strictly concave, and its only stationary
+    point is the positive root of (b^2 - a^2) t^2 - 2 a d t - (4b^2 + d^2),
+    provided a t + d >= 0.  The supremum is therefore sigma_max_joint at a
+    breakpoint or at a stationary point inside its piece.
     """
-    alpha = sum(float(v) ** 2 for v in m)
+    alpha, _, _, tau, _, shift = _profile_parts(params, m)
     if not 0.0 < alpha < 1.0:
-        return float("-inf")
+        return -INF
     p = params.p
-    gam = sorted((float(v) for v in spike_eigenvalues(params, m)), reverse=True)
+    c = math.sqrt(2 * p / (p - 1))
+    sup = [g for g in (float(v) for v in spike_eigenvalues(params, m)) if g > 1.0]
+    breaks = sorted([2.0] + [g + 1.0 / g for g in sup])
 
-    # pull the breakpoints in t back to the value coordinate x
-    scale = math.sqrt((p - 1) / (2.0 * p))
-    base = -y_shift(params, m, 0.0)  # the x-independent part of x - y
-    breaks = [2.0] + [g + 1.0 / g for g in gam if g > 1.0]
-    xs = sorted(base + t * scale for t in breaks)
+    ts = list(breaks)
+    for lo, hi in zip(breaks, breaks[1:] + [INF]):
+        above = [g for g in sup if g + 1.0 / g >= hi]
+        a = 0.5 - (p - 1) / p - 0.25 * len(above)
+        b = 0.5 + 0.25 * len(above)
+        d = 2.0 * tau / c + 0.5 * sum(above)
+        # positive root, in the form free of cancellation when a d < 0
+        q = 4.0 * b * b + d * d
+        t = q / (math.sqrt(a * a * d * d + (b * b - a * a) * q) - a * d)
+        if a * t + d >= 0.0 and lo < t < hi:
+            ts.append(t)
 
-    lam1 = params.lam[0] if params.lam else 0.0
-    hi = params.r * lam1 * (p - 1) / (p - 2) + 10.0
-    hi = max(hi, xs[-1] + 10.0)
-
-    best = sigma_max_joint(params, m, xs[0])
-    edges = xs + [hi]
-    for lo_x, hi_x in zip(edges[:-1], edges[1:]):
-        if hi_x - lo_x < 1e-14:
-            continue
-        res = optimize.minimize_scalar(
-            lambda x: -sigma_max_joint(params, m, x),
-            bounds=(lo_x, hi_x),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = max(best, -res.fun, sigma_max_joint(params, m, hi_x))
+    best = -INF
+    for t in ts:
+        x = shift + t / c
+        # rounding may land the edge t = 2 just inside the bulk, where the
+        # objective is -inf; step up to the first x that maps to t >= 2
+        while t_func(params, m, x) < 2.0:
+            x = math.nextafter(x, INF)
+        best = max(best, sigma_max_joint(params, m, x))
     return best

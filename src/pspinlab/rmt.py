@@ -6,14 +6,13 @@ on [-2, 2] and a spike gamma > 1 detaches an eigenvalue near gamma + 1/gamma.
 
 Determinism contract: every trial draws from its own RNG stream keyed by
 (seed, trial index) and reductions run in trial order, so results are bitwise
-identical across runs and across thread counts.
+identical across runs.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,14 +82,6 @@ def sample_spectrum(spec: GOESpec) -> SpectralSample:
     return SpectralSample(eigenvalues=_sample_eigenvalues(spec, 0), spec=spec)
 
 
-def _map_trials(worker: Callable[[int], object], trials: int, threads: int) -> list:
-    """Evaluate worker(0..trials-1) preserving trial order regardless of threads."""
-    if threads <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
-
-
 def _log_mean_exp(logs: np.ndarray) -> tuple[float, float]:
     """log of the mean of exp(logs) and the delta-method SE of that log.
 
@@ -111,7 +102,7 @@ def _log_mean_exp(logs: np.ndarray) -> tuple[float, float]:
     return log_mean, se_log
 
 
-def mc_log_abs_det(spec: GOESpec, trials: int, threads: int = 1) -> MCEstimate:
+def mc_log_abs_det(spec: GOESpec, trials: int) -> MCEstimate:
     """(1/n) log E|det| of the sampled matrix, by direct Monte Carlo.
 
     The expectation is of |det| itself, not of its log, so the estimate is a
@@ -126,7 +117,7 @@ def mc_log_abs_det(spec: GOESpec, trials: int, threads: int = 1) -> MCEstimate:
         with np.errstate(divide="ignore"):
             return float(np.sum(np.log(np.abs(ev))))
 
-    logs = np.array(_map_trials(worker, trials, threads))
+    logs = np.array([worker(t) for t in range(trials)])
     underflow = int(np.sum(np.isneginf(logs)))
     log_mean, se_log = _log_mean_exp(logs)
     extras = {"underflow_trials": underflow, "all_underflow": underflow == trials}
@@ -136,7 +127,7 @@ def mc_log_abs_det(spec: GOESpec, trials: int, threads: int = 1) -> MCEstimate:
     return MCEstimate(log_mean / n, se_log / n, trials, spec.seed, extras)
 
 
-def mc_restricted_det(spec: GOESpec, trials: int, threads: int = 1) -> MCEstimate:
+def mc_restricted_det(spec: GOESpec, trials: int) -> MCEstimate:
     """(1/n) log E[|det| restricted to negative-semidefinite samples].
 
     Same estimator as mc_log_abs_det with rejected trials contributing zero
@@ -151,7 +142,7 @@ def mc_restricted_det(spec: GOESpec, trials: int, threads: int = 1) -> MCEstimat
         with np.errstate(divide="ignore"):
             return float(np.sum(np.log(np.abs(ev)))), ok
 
-    pairs = _map_trials(worker, trials, threads)
+    pairs = [worker(t) for t in range(trials)]
     logs = np.array([v if ok else float("-inf") for v, ok in pairs])
     accepted = int(sum(ok for _, ok in pairs))
     extras = {
@@ -166,9 +157,7 @@ def mc_restricted_det(spec: GOESpec, trials: int, threads: int = 1) -> MCEstimat
     return MCEstimate(log_mean / n, se_log / n, trials, spec.seed, extras)
 
 
-def mc_lambda_max_tail(
-    spec: GOESpec, trials: int, t: float, threads: int = 1
-) -> MCEstimate:
+def mc_lambda_max_tail(spec: GOESpec, trials: int, t: float) -> MCEstimate:
     """(1/n) log of the empirical probability that the top eigenvalue is <= t.
 
     extras carry the raw tail probability and the location statistics of the
@@ -177,10 +166,7 @@ def mc_lambda_max_tail(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def worker(tr: int) -> float:
-        return float(_sample_eigenvalues(spec, tr)[-1])
-
-    tops = np.array(_map_trials(worker, trials, threads))
+    tops = np.array([_sample_eigenvalues(spec, tr)[-1] for tr in range(trials)])
     hits = int(np.sum(tops <= t))
     prob = hits / trials
     extras = {
@@ -281,7 +267,6 @@ def spherical_integral_mc(
     diag: Sequence[float],
     trials: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> MCEstimate:
     """Monte Carlo estimate of the rank-r spherical integral
     E exp{(n/2) sum_i gamma_i <e_i, D e_i>} over Haar orthonormal frames.
@@ -309,7 +294,7 @@ def spherical_integral_mc(
         quad = np.einsum("j,ji->i", d, q * q)
         return float(0.5 * n * np.dot(gam, quad))
 
-    exps = np.array(_map_trials(worker, trials, threads))
+    exps = np.array([worker(t) for t in range(trials)])
     log_mean, se_log = _log_mean_exp(exps)
     value = math.exp(log_mean) if log_mean < 700 else float("inf")
     se = value * se_log if math.isfinite(value) else float("inf")

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,7 +156,7 @@ def test_experiment_reruns_identical_but_wall_time(tmp_path):
     args = ["experiment", "--experiment", "mc-lmax", "--n", "30",
             "--gamma", "2.0", "--t", "2.0", "--trials", "200", "--seed", "3"]
     assert run_cli(args + ["--out", str(a)]) == 0
-    assert run_cli(args + ["--out", str(b), "--threads", "3"]) == 0
+    assert run_cli(args + ["--out", str(b)]) == 0
     da = json.loads(a.read_text())
     db = json.loads(b.read_text())
     da.pop("wall_time"), db.pop("wall_time")
@@ -204,6 +205,22 @@ def test_console_script_installed():
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,i_max,L,L_left")
 
+
+def test_cli_import_leaves_scipy_unloaded():
+    import pspinlab
+
+    src = str(Path(pspinlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import pspinlab.cli; "
+         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))",
+         src],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _kacrice(tmp_path, name, *extra):
     out = tmp_path / f"{name}.json"
     rc = run_cli(["experiment", "--experiment", name, "--p", "3", "--r", "1",
@@ -237,3 +254,36 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
     rc, doc = _kacrice(tmp_path, "kacrice-formula", "--inner-trials", "64", "--batches", "2")
     assert rc == 0
     assert doc["extras"]["quadrature_rel_gap"] <= 1e-4
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot", "--axis", "0:1"],
+    ["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot", "--axis", "0:1:1"],
+    ["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot", "--axis", "0:2:5"],
+    ["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot", "--axis", "0:x:5"],
+    ["grid", "--p", "3", "--r", "2", "--lam", "0.5,0.2", "--quantity", "sigma_tot",
+     "--axis", "0:1:5", "--fix", "1:abc"],
+    ["grid", "--p", "3", "--r", "2", "--lam", "0.5,0.2", "--quantity", "sigma_tot",
+     "--axis", "0:1:5", "--axis", "0:1:5", "--fix", "2:0.5"],
+    ["rate", "--gamma", "1.5", "--t-range", "3:2:5"],
+    ["rate", "--gamma", "1.5", "--t", "abc"],
+    ["rate", "--gamma", "1.5", "--t-range", "2:3:0"],
+])
+def test_bad_range_and_value_exit_code(argv):
+    assert run_cli(argv) == 2
+
+
+def test_grid_with_every_coordinate_fixed_exit_code(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("axis=\n")
+    rc = run_cli(["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot",
+                  "--fix", "0:0.5", "--config", str(cfg)])
+    assert rc == 2
+
+
+def test_rate_single_step_range(tmp_path):
+    out = tmp_path / "one.csv"
+    assert run_cli(["rate", "--gamma", "1.5", "--t-range", "2.5:2.5:1", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("2.5,")

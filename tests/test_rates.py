@@ -20,6 +20,9 @@ from pspinlab import (
     sigma_max_projected,
     sigma_tot_joint,
     sigma_tot_projected,
+    spike_eigenvalues,
+    t_func,
+    y_shift,
 )
 
 INF = float("inf")
@@ -144,13 +147,86 @@ def test_sigma_max_below_sigma_tot():
 
 
 def test_sigma_max_projected_matches_scan():
-    params = ModelParams(p=3, r=1, k=(3,), lam=(1.0,))
-    for m in ([0.2], [0.5], [0.8]):
-        proj = sigma_max_projected(params, m)
-        xs = np.linspace(-6.0, 8.0, 20001)
-        best = max(sigma_max_joint(params, m, float(x)) for x in xs)
-        assert best <= proj + 1e-9
-        assert proj - best < 2e-3
+    cases = [
+        (ModelParams(p=3, r=1, k=(3,), lam=(1.0,)), ([0.2], [0.5], [0.8])),
+        (ModelParams(p=3, r=2, k=(3, 3), lam=(2.0, 1.5)), ([0.3, 0.4], [0.6, 0.3])),
+        (ModelParams(p=4, r=3, k=(4, 3, 5), lam=(3.0, 2.0, 1.5)),
+         ([0.5, 0.4, 0.3], [0.7, 0.5, 0.2])),
+    ]
+    xs = np.linspace(-6.0, 8.0, 20001)
+    for params, points in cases:
+        for m in points:
+            proj = sigma_max_projected(params, m)
+            best = max(sigma_max_joint(params, m, float(x)) for x in xs)
+            assert best <= proj + 1e-9
+            assert proj - best < 2e-3
+
+
+def _sigma_max_brent(params, m):
+    """Bounded scalar search on each piece between breakpoints: an
+    independent lower bound for the exact per-piece maximum."""
+    alpha = sum(float(v) ** 2 for v in m)
+    if not 0.0 < alpha < 1.0:
+        return -INF
+    p = params.p
+    gam = sorted((float(v) for v in spike_eigenvalues(params, m)), reverse=True)
+    scale = math.sqrt((p - 1) / (2.0 * p))
+    base = -y_shift(params, m, 0.0)
+    breaks = [2.0] + [g + 1.0 / g for g in gam if g > 1.0]
+    xs = sorted(base + t * scale for t in breaks)
+    lam1 = params.lam[0] if params.lam else 0.0
+    hi = max(params.r * lam1 * (p - 1) / (p - 2) + 10.0, xs[-1] + 10.0)
+    best = sigma_max_joint(params, m, xs[0])
+    edges = xs + [hi]
+    for lo_x, hi_x in zip(edges[:-1], edges[1:]):
+        if hi_x - lo_x < 1e-14:
+            continue
+        res = minimize_scalar(
+            lambda x: -sigma_max_joint(params, m, x),
+            bounds=(lo_x, hi_x),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        best = max(best, -res.fun, sigma_max_joint(params, m, hi_x))
+    return best
+
+
+def test_sigma_max_projected_above_brent_oracle():
+    rng = np.random.default_rng(11)
+    finite = 0
+    for _ in range(600):
+        p = int(rng.integers(3, 6))
+        r = int(rng.integers(1, 4))
+        k = tuple(int(v) for v in rng.integers(3, 6, size=r))
+        lam = tuple(sorted(rng.uniform(0.0, 4.0, size=r), reverse=True))
+        params = ModelParams(p=p, r=r, k=k, lam=lam)
+        u = rng.uniform(0.0, 1.0, size=r)
+        m = [float(v) for v in u * rng.uniform(0.2, 1.2) / math.sqrt(r)]
+        got = sigma_max_projected(params, m)
+        oracle = _sigma_max_brent(params, m)
+        assert math.isfinite(got) == math.isfinite(oracle)
+        if math.isfinite(got):
+            finite += 1
+            assert got >= oracle - 1e-12
+            assert got <= sigma_tot_projected(params, m) + 1e-12
+    assert finite >= 500
+
+
+def test_sigma_max_projected_unspiked_sits_at_edge():
+    # with no spikes the maximum is at the bulk edge t = 2; at p = 4 the
+    # edge maps back to an x whose shift rounds to just below 2
+    for p in (3, 4, 5):
+        params = ModelParams(p=p, r=1, k=(p,), lam=(0.0,))
+        for m in ([0.1], [0.5], [0.9]):
+            x = 2.0 / math.sqrt(2 * p / (p - 1))
+            while t_func(params, m, x) < 2.0:
+                x = math.nextafter(x, INF)
+            got = sigma_max_projected(params, m)
+            assert math.isfinite(got)
+            assert got == sigma_max_joint(params, m, x)
+            closed = (0.5 * (math.log(p - 1) + 1) + 0.5 * math.log1p(-m[0] ** 2)
+                      - 2 * (p - 1) / p + 0.5)
+            assert got == pytest.approx(closed, abs=1e-13)
 
 
 def test_sigma_max_equals_tot_at_unspiked_center():

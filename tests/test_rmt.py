@@ -22,14 +22,6 @@ def test_sampling_deterministic():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
-def test_estimator_thread_invariance():
-    spec = GOESpec(n=40, seed=7)
-    one = mc_log_abs_det(spec, 64, threads=1)
-    four = mc_log_abs_det(spec, 64, threads=4)
-    assert one.value == four.value
-    assert one.std_error == four.std_error
-
-
 def test_n1_variance_is_two():
     # the 1x1 entry is a diagonal element, variance 2/n = 2
     vals = [
