@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import math
 import sys
 import time
 from typing import Sequence
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
@@ -143,9 +145,19 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 class Resolver:
-    """Value lookup with the precedence: command line flag, config file, default."""
+    """Value lookup with the precedence: command line flag, config file, default.
+
+    Every config key must name a flag of the subcommand, so a misspelled or
+    removed flag is a usage error rather than silently ignored.
+    """
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
+        flags = set(vars(args)) - {"command", "config"}
+        unknown = sorted(set(config) - flags)
+        if unknown:
+            raise UsageError(
+                f"unknown config key(s) for {args.command}: {', '.join(unknown)}"
+            )
         self.args = args
         self.config = config
 
@@ -302,46 +314,38 @@ def cmd_grid(res: Resolver) -> int:
         raise UsageError("full grids sweep 1 or 2 coordinates; use --fix for the rest")
     out = res.get("out", _conv_str)
 
-    def evaluate(m: list[float]):
-        if quantity == "sigma_tot":
-            return sigma_tot_projected(params, m), None
-        if quantity == "sigma_max":
-            return sigma_max_projected(params, m), None
-        if quantity == "regime":
-            label = classify_regime(params, m)
-            return sigma_tot_projected(params, m), int(label)
-        if quantity == "tau":
-            return aux_statistics(params, m).tau, None
-        if quantity == "eta":
-            return aux_statistics(params, m).eta, None
-        if quantity == "gamma1":
-            try:
-                return float(spike_eigenvalues(params, m)[0]), None
-            except ValueError:
-                return float("-inf"), None
-        raise AssertionError(quantity)
+    ticks = [_ticks(*a) for a in axes]
+    pts = np.zeros((math.prod(len(t) for t in ticks), params.r))
+    for idx, val in fixed.items():
+        pts[:, idx] = val
+    for idx, mesh in zip(swept, np.meshgrid(*ticks, indexing="ij")):
+        pts[:, idx] = mesh.ravel()
+
+    codes = None
+    if quantity == "sigma_tot":
+        values = sigma_tot_projected(params, pts)
+    elif quantity == "sigma_max":
+        values = [sigma_max_projected(params, m) for m in pts.tolist()]
+    elif quantity == "regime":
+        values = sigma_tot_projected(params, pts)
+        codes = classify_regime(params, pts).tolist()
+    elif quantity in ("tau", "eta"):
+        values = getattr(aux_statistics(params, pts), quantity)
+    else:
+        # gamma1 is -inf where the perturbation degenerates (some |m_i| >= 1)
+        values = np.full(len(pts), -math.inf)
+        ok = np.all(np.abs(pts) < 1.0, axis=1)
+        values[ok] = spike_eigenvalues(params, pts[ok])[:, 0]
+    cells = [fmt_float(v) for v in np.asarray(values, dtype=float).tolist()]
+    if codes is not None:
+        cells = [f"{c},{code}" for c, code in zip(cells, codes)]
 
     header = ",".join(f"m{j + 1}" for j in range(len(swept))) + ",value"
     if quantity == "regime":
         header += ",regime"
-    rows = [header]
-    values1 = _ticks(*axes[0])
-    values2 = _ticks(*axes[1]) if len(swept) == 2 else [None]
-    for v1 in values1:
-        for v2 in values2:
-            m = [0.0] * params.r
-            for idx, val in fixed.items():
-                m[idx] = val
-            m[swept[0]] = v1
-            cells = [fmt_float(v1)]
-            if v2 is not None:
-                m[swept[1]] = v2
-                cells.append(fmt_float(v2))
-            value, code = evaluate(m)
-            cells.append(fmt_float(value))
-            if code is not None:
-                cells.append(str(code))
-            rows.append(",".join(cells))
+    labels = [[fmt_float(v) for v in t] for t in ticks]
+    prefixes = [",".join(combo) for combo in itertools.product(*labels)]
+    rows = [header] + [f"{pre},{c}" for pre, c in zip(prefixes, cells)]
     _write_text(out, "\n".join(rows) + "\n")
     if out is not None:
         sidecar = _sidecar(

@@ -11,13 +11,24 @@ Conventions used throughout the package:
     overlaps m_i = <sigma, u_i> / sqrt(N), alpha(m) = sum_i m_i^2,
     natural domain 0 < alpha < 1 (off-domain exponents are -inf);
     GOE matrices are normalized so the bulk spectrum converges to [-2, 2].
+
+Broadcasting: sigma_tot_projected, aux_statistics and classify_regime (and
+the perturbation spectrum in spikes) take one overlap point of shape (r,) and
+return Python scalars, or a stack of shape (N, r) and return arrays over its
+N points; the one-point call is the stack call on one row.  s_func, y_shift,
+t_func and sigma_tot_joint take one point, with x a float or an array.
+Powers, logarithms and asinh go through the C library one float at a time
+(_libm), so a stack gives the same bits as its points one by one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -88,18 +99,19 @@ class RegimeLabel(IntEnum):
 
 @dataclass(frozen=True)
 class AuxStatistics:
-    """Scalar summaries of an overlap point that drive every phase boundary.
+    """Summaries of an overlap point that drive every phase boundary.
 
     tau_star is NaN when its defining ratio is negative or degenerate; beta is
     NaN when tau vanishes; eta is +inf when some active strength is zero and
-    eta_c is NaN for mixed spike degrees.
+    eta_c is NaN for mixed spike degrees.  For a stack of points the first
+    five fields are arrays; the thresholds tau_c and eta_c stay floats.
     """
 
-    tau: float
-    alpha: float
-    beta: float
-    eta: float
-    tau_star: float
+    tau: float | np.ndarray
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    eta: float | np.ndarray
+    tau_star: float | np.ndarray
     tau_c: float
     eta_c: float
 
@@ -144,41 +156,65 @@ def phi_star(x: float) -> float:
     return v
 
 
-def _profile_parts(params: ModelParams, m: Sequence[float]):
-    """Shared scalars: alpha, the two quadratic sums, tau, value center, shift.
+def _libm(fn, x, *args) -> np.ndarray:
+    """fn(x_i, *args) for every entry x_i of the array x, through Python floats.
+
+    numpy's SIMD pow, log, log1p and asinh differ from the C library in the
+    last ulps on some inputs, while sqrt and plain arithmetic agree; routing
+    those four through here keeps every array result bit-equal to the same
+    formula evaluated on one Python float at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = [itertools.repeat(a) for a in args]
+    return np.array(list(map(fn, x.ravel().tolist(), *columns)), dtype=float).reshape(x.shape)
+
+
+def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
+    """Overlap points as an (N, r) float array, and whether m was one point.
+
+    m is one point of shape (r,) or a stack of shape (N, r).
+    """
+    pts = np.asarray(m, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != params.r:
+        raise ValueError(
+            f"overlap points have shape {pts.shape}, expected (r,) or (N, r) with r = {params.r}"
+        )
+    return pts.reshape(-1, params.r), pts.ndim == 1
+
+
+def _profile_parts(params: ModelParams, m: Sequence[float] | np.ndarray):
+    """Shared profile sums: alpha, the two quadratic sums, tau, value center, shift.
 
     Returns (alpha, diag_sum, cross_sum, tau, center, shift) where
       diag_sum  = (1/p) sum_i lam_i^2 k_i^2 m_i^{2k_i-2} (1 - m_i^2),
       cross_sum = (2/p) sum_{i<j} lam_i lam_j k_i k_j m_i^{k_i} m_j^{k_j},
       tau       = (1/p) sum_i lam_i k_i m_i^{k_i},
       center    = sum_i lam_i m_i^{k_i},
-      shift     = sum_i lam_i (1 - k_i/p) m_i^{k_i}.
+      shift     = sum_i lam_i (1 - k_i/p) m_i^{k_i};
+    floats for one point, arrays of length N for a stack.
     """
-    if len(m) != params.r:
-        raise ValueError(f"overlap vector has length {len(m)}, expected r = {params.r}")
+    pts, single = _points(params, m)
     p = params.p
-    alpha = 0.0
-    diag_sum = 0.0
-    tau = 0.0
-    center = 0.0
+    alpha = diag_sum = tau = center = 0.0
     powers = []
-    for lam_i, k_i, m_i in zip(params.lam, params.k, m):
+    for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
         mi2 = m_i * m_i
-        alpha += mi2
-        mk = m_i**k_i
+        alpha = alpha + mi2
+        mk = _libm(pow, m_i, k_i)
         powers.append(lam_i * k_i * mk)
-        diag_sum += lam_i * lam_i * k_i * k_i * m_i ** (2 * k_i - 2) * (1 - mi2)
-        tau += lam_i * k_i * mk
-        center += lam_i * mk
-    diag_sum /= p
-    tau /= p
-    cross_sum = 0.0
+        diag_sum = diag_sum + lam_i * lam_i * k_i * k_i * _libm(pow, m_i, 2 * k_i - 2) * (1 - mi2)
+        tau = tau + lam_i * k_i * mk
+        center = center + lam_i * mk
+    diag_sum = diag_sum / p
+    tau = tau / p
+    cross_sum = np.zeros(len(pts))
     for i in range(len(powers)):
         for j in range(i + 1, len(powers)):
-            cross_sum += powers[i] * powers[j]
-    cross_sum *= 2.0 / p
+            cross_sum = cross_sum + powers[i] * powers[j]
+    cross_sum = cross_sum * (2.0 / p)
     shift = center - tau
-    return alpha, diag_sum, cross_sum, tau, center, shift
+    parts = (alpha, diag_sum, cross_sum, tau, center, shift)
+    return tuple(float(v[0]) for v in parts) if single else parts
 
 
 def s_func(params: ModelParams, m: Sequence[float], x: float) -> float:
@@ -232,129 +268,153 @@ def sigma_tot_joint(params: ModelParams, m: Sequence[float], x: float) -> float:
     )
 
 
-def sigma_tot_projected(params: ModelParams, m: Sequence[float]) -> float:
+def _unwrap(values: np.ndarray, single: bool):
+    """The one value as a Python scalar for a single point, else the array."""
+    return values[0].item() if single else values
+
+
+def sigma_tot_projected(
+    params: ModelParams, m: Sequence[float] | np.ndarray
+) -> float | np.ndarray:
     """sup over x of sigma_tot_joint(m, x), in closed form.
 
     Two branches, split by tau against tau_critical(p): below the threshold
     the optimal Hessian shift stays outside the bulk (narrow branch), at or
-    above it the optimizer sits against the bulk edge (wide branch).
+    above it the optimizer sits against the bulk edge (wide branch).  A float
+    for one point of shape (r,), an array of length N for a stack (N, r).
     """
-    alpha, diag_sum, cross_sum, tau, _, _ = _profile_parts(params, m)
-    if not 0.0 < alpha < 1.0:
-        return NEG_INF
+    pts, single = _points(params, m)
+    alpha, diag_sum, cross_sum, tau, _, _ = _profile_parts(params, pts)
+    inside = (0.0 < alpha) & (alpha < 1.0)
     p = params.p
-    base = 0.5 * math.log1p(-alpha) - diag_sum + cross_sum
-    if tau < tau_critical(p):
-        return 0.5 * math.log(p - 1) + base + (p / (p - 2)) * tau * tau
+    base = 0.5 * _libm(math.log1p, -np.where(inside, alpha, 0.0)) - diag_sum + cross_sum
+    narrow = 0.5 * math.log(p - 1) + base + (p / (p - 2)) * tau * tau
     u = math.sqrt(0.5 * p) * tau
-    return base - u * u + u * math.sqrt(1 + u * u) + math.asinh(u)
+    wide = base - u * u + u * np.sqrt(1 + u * u) + _libm(math.asinh, u)
+    value = np.where(tau < tau_critical(p), narrow, wide)
+    return _unwrap(np.where(inside, value, NEG_INF), single)
 
 
-def aux_statistics(params: ModelParams, m: Sequence[float]) -> AuxStatistics:
-    """All scalar statistics of an overlap point used by the phase analysis."""
+def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxStatistics:
+    """All statistics of an overlap point, or of each point of a stack, used
+    by the phase analysis."""
+    pts, single = _points(params, m)
     p = params.p
-    alpha, _, _, tau, _, _ = _profile_parts(params, m)
-    sq = 0.0
-    for lam_i, k_i, m_i in zip(params.lam, params.k, m):
-        sq += (lam_i * k_i * m_i ** (k_i - 1)) ** 2
-    sq /= p * p
-    beta = alpha * sq / (tau * tau) if tau != 0.0 else math.nan
+    alpha, _, _, tau, _, _ = _profile_parts(params, pts)
+    sq = np.zeros(len(pts))
+    eta = np.zeros(len(pts))
+    for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
+        sq = sq + _libm(pow, lam_i * k_i * _libm(pow, m_i, k_i - 1), 2)
+        active = m_i != 0.0
+        if active.any():  # the weight can overflow; a point with m_i = 0 never needs it
+            weight = lam_i ** (-2.0 / (k_i - 2)) if lam_i > 0 else math.inf
+            eta = eta + np.where(active, weight, 0.0)
+    sq = sq / (p * p)
 
-    eta = 0.0
-    for lam_i, k_i, m_i in zip(params.lam, params.k, m):
-        if m_i != 0.0:
-            eta += lam_i ** (-2.0 / (k_i - 2)) if lam_i > 0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(tau != 0.0, alpha * sq / (tau * tau), math.nan)
+        inside = (0.0 < alpha) & (alpha < 1.0) & ~np.isnan(beta)
+        a = np.where(inside, alpha, 0.5)
+        den = (p - 1) / (p - 2) - beta / a
+        num = -0.5 * _libm(math.log, (1 - a) * (p - 1))
+        ratio = num / den
+    valid = inside & (den != 0.0) & (ratio >= 0.0)
+    tau_star = np.where(valid, np.sqrt(np.where(valid, ratio, 0.0)) / math.sqrt(p), math.nan)
 
     if all(k_i == params.k[0] for k_i in params.k):
         eta_c = eta_critical(p, params.k[0])
     else:
         eta_c = math.nan
 
-    tau_star = math.nan
-    if 0.0 < alpha < 1.0 and not math.isnan(beta):
-        den = (p - 1) / (p - 2) - beta / alpha
-        num = -0.5 * math.log((1 - alpha) * (p - 1))
-        if den != 0.0 and num / den >= 0.0:
-            tau_star = math.sqrt(num / den) / math.sqrt(p)
-
     return AuxStatistics(
-        tau=tau,
-        alpha=alpha,
-        beta=beta,
-        eta=eta,
-        tau_star=tau_star,
+        tau=_unwrap(tau, single),
+        alpha=_unwrap(alpha, single),
+        beta=_unwrap(beta, single),
+        eta=_unwrap(eta, single),
+        tau_star=_unwrap(tau_star, single),
         tau_c=tau_critical(p),
         eta_c=eta_c,
     )
 
 
 def _zero_conditions_hold(
-    params: ModelParams, m: Sequence[float], tol: float
-) -> bool:
+    params: ModelParams, m: Sequence[float] | np.ndarray, tol: float
+) -> bool | np.ndarray:
     """Check the two exact-zero conditions of the wide branch at tolerance tol.
 
     (a) the values lam_i k_i m_i^{k_i-2} / p agree across nonzero coordinates;
     (b) the effective shift matches alpha / (2 sqrt(1 - alpha)) in edge units.
+    A bool for one point, a boolean array for a stack.
     """
+    pts, single = _points(params, m)
     p = params.p
-    alpha, _, _, tau, _, _ = _profile_parts(params, m)
-    if not 0.0 < alpha < 1.0:
-        return False
-    d_vals = [
-        (k_i / p) * lam_i * m_i ** (k_i - 2)
-        for lam_i, k_i, m_i in zip(params.lam, params.k, m)
-        if m_i != 0.0
-    ]
-    if not d_vals:
-        return False
-    if max(d_vals) - min(d_vals) > tol:
-        return False
-    resid = math.sqrt(0.5 * p) * tau - 0.5 * alpha / math.sqrt(1 - alpha)
-    return abs(resid) <= tol
+    alpha, _, _, tau, _, _ = _profile_parts(params, pts)
+    inside = (0.0 < alpha) & (alpha < 1.0)
+    hi = np.full(len(pts), -math.inf)
+    lo = np.full(len(pts), math.inf)
+    for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
+        d = (k_i / p) * lam_i * _libm(pow, m_i, k_i - 2)
+        nonzero = m_i != 0.0
+        hi = np.where(nonzero, np.maximum(hi, d), hi)
+        lo = np.where(nonzero, np.minimum(lo, d), lo)
+    a = np.where(inside, alpha, 0.0)
+    resid = math.sqrt(0.5 * p) * tau - 0.5 * a / np.sqrt(1 - a)
+    held = inside & (lo <= hi) & ~(hi - lo > tol) & (np.abs(resid) <= tol)
+    return _unwrap(held, single)
 
 
 def classify_regime(
-    params: ModelParams, m: Sequence[float], tol: float = 1e-6
-) -> RegimeLabel:
+    params: ModelParams, m: Sequence[float] | np.ndarray, tol: float = 1e-6
+) -> RegimeLabel | np.ndarray:
     """Label an overlap point by the sign structure of the projected exponent.
 
     Points outside [0, 1]^r or with alpha outside (0, 1) are OUT_OF_DOMAIN.
     A point on the wide branch satisfying the exact-zero conditions within tol
     is SUBEXPONENTIAL_ZERO_LOCUS; otherwise the sign of the projected exponent
-    decides, with |value| <= tol reported as ZERO_BOUNDARY.
+    decides, with |value| <= tol reported as ZERO_BOUNDARY.  A RegimeLabel
+    for one point, an integer array of label codes for a stack.
     """
-    if any(m_i < 0.0 for m_i in m):
-        return RegimeLabel.OUT_OF_DOMAIN
-    alpha, _, _, tau, _, _ = _profile_parts(params, m)
-    if not 0.0 < alpha < 1.0:
-        return RegimeLabel.OUT_OF_DOMAIN
-    if tau >= tau_critical(params.p) - tol and _zero_conditions_hold(params, m, tol):
-        return RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS
-    value = sigma_tot_projected(params, m)
-    if abs(value) <= tol:
-        return RegimeLabel.ZERO_BOUNDARY
-    return RegimeLabel.POSITIVE if value > 0 else RegimeLabel.NEGATIVE
+    pts, single = _points(params, m)
+    alpha, _, _, tau, _, _ = _profile_parts(params, pts)
+    inside = ~np.any(pts < 0.0, axis=1) & (0.0 < alpha) & (alpha < 1.0)
+    value = sigma_tot_projected(params, pts)
+    codes = np.where(value > 0, int(RegimeLabel.POSITIVE), int(RegimeLabel.NEGATIVE))
+    codes[np.abs(value) <= tol] = RegimeLabel.ZERO_BOUNDARY
+    wide = inside & (tau >= tau_critical(params.p) - tol)
+    codes[wide] = np.where(
+        _zero_conditions_hold(params, pts[wide], tol),
+        int(RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS),
+        codes[wide],
+    )
+    codes[~inside] = RegimeLabel.OUT_OF_DOMAIN
+    return RegimeLabel(int(codes[0])) if single else codes
 
 
-def _pattern_residual(params: ModelParams, pattern: tuple[int, ...], delta: float):
+def _pattern_residual(params: ModelParams, pattern: tuple[int, ...], delta):
     """Overlap vector and zero-condition residual for a common slope delta.
 
     Coordinates in the pattern carry m_i = (p delta / (k_i lam_i))^{1/(k_i-2)},
     the unique profile satisfying condition (a); the residual is condition (b).
-    Returns (m, alpha, residual) with residual NaN when alpha >= 1.
+    Returns (m, alpha, residual) with residual NaN when alpha >= 1: a list and
+    two floats for one slope, arrays (N, r), (N,) and (N,) for N slopes.
     """
+    deltas = np.asarray(delta, dtype=float)
+    single = deltas.ndim == 0
+    deltas = deltas.reshape(-1)
     p = params.p
-    m = [0.0] * params.r
-    alpha = 0.0
-    tau = 0.0
+    m = np.zeros((len(deltas), params.r))
+    alpha = tau = np.zeros(len(deltas))
     for i in pattern:
-        m_i = (p * delta / (params.k[i] * params.lam[i])) ** (1.0 / (params.k[i] - 2))
-        m[i] = m_i
-        alpha += m_i * m_i
-        tau += params.lam[i] * params.k[i] * m_i ** params.k[i] / p
-    if alpha >= 1.0:
-        return m, alpha, math.nan
-    resid = math.sqrt(0.5 * p) * tau - 0.5 * alpha / math.sqrt(1 - alpha)
+        k_i, lam_i = params.k[i], params.lam[i]
+        m_i = _libm(pow, p * deltas / (k_i * lam_i), 1.0 / (k_i - 2))
+        m[:, i] = m_i
+        alpha = alpha + m_i * m_i
+        tau = tau + lam_i * k_i * _libm(pow, m_i, k_i) / p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = math.sqrt(0.5 * p) * tau - 0.5 * alpha / np.sqrt(1 - alpha)
+    resid = np.where(alpha >= 1.0, math.nan, resid)
+    if single:
+        return m[0].tolist(), float(alpha[0]), float(resid[0])
     return m, alpha, resid
 
 
@@ -367,6 +427,14 @@ def zero_locus_solve(
     Coordinates off the pattern are pinned to zero.  Solutions are found by a
     dense scan in the common slope followed by bisection to 1e-12; the list is
     ordered by increasing slope (hence increasing overlaps) and may be empty.
+
+    On a one-coordinate pattern the residual has the sign of
+    C m^{k-2} sqrt(1 - m^2) - 1 with C = lam k sqrt(2/p): negative below the
+    slope 1/sqrt(2p) and near alpha = 1, with one peak at m^2 = (k-2)/(k-1).
+    The scan then also takes the peak, a point below 1/sqrt(2p) and the upper
+    end of the slope range, so each monotone side holds exactly one sign
+    change when the peak residual is positive, and the root count (0, one
+    double root, or 2) is exact, also just above lambda_critical.
     """
     if pattern is None:
         pattern = tuple(range(params.r))
@@ -393,39 +461,40 @@ def zero_locus_solve(
     delta_max = lo
 
     grid_size = 4096
-    deltas = [delta_max * (j + 1) / (grid_size + 1) for j in range(grid_size)]
-    resids = [_pattern_residual(params, pattern, d)[2] for d in deltas]
+    deltas = delta_max * np.arange(1, grid_size + 1) / (grid_size + 1)
+    if len(pattern) == 1:
+        p, k, lam = params.p, params.k[pattern[0]], params.lam[pattern[0]]
+        peak = k * lam * ((k - 2) / (k - 1)) ** (0.5 * (k - 2)) / p
+        extra = [peak, delta_max]
+        if 0.5 / math.sqrt(2 * p) < deltas[0]:
+            extra.append(0.5 / math.sqrt(2 * p))
+        deltas = np.unique(np.concatenate([deltas, extra]))
+    resids = _pattern_residual(params, pattern, deltas)[2]
 
+    r0, r1 = resids[:-1], resids[1:]
+    hits = np.flatnonzero(~np.isnan(r0) & ~np.isnan(r1) & ((r0 == 0.0) | (r0 * r1 < 0.0)))
     roots: list[float] = []
-    for j in range(grid_size - 1):
-        r0, r1 = resids[j], resids[j + 1]
-        if math.isnan(r0) or math.isnan(r1):
+    for j in hits.tolist():
+        if resids[j] == 0.0:
+            roots.append(float(deltas[j]))
             continue
-        if r0 == 0.0:
-            roots.append(deltas[j])
-            continue
-        if r0 * r1 < 0.0:
-            a, b = deltas[j], deltas[j + 1]
-            fa = r0
-            for _ in range(100):
-                c = 0.5 * (a + b)
-                fc = _pattern_residual(params, pattern, c)[2]
-                if fc == 0.0 or (b - a) < 1e-15:
-                    a = b = c
-                    break
-                if fa * fc < 0.0:
-                    b = c
-                else:
-                    a, fa = c, fc
-            roots.append(0.5 * (a + b))
-    if resids and resids[-1] == 0.0:
-        roots.append(deltas[-1])
+        a, b = float(deltas[j]), float(deltas[j + 1])
+        fa = float(resids[j])
+        for _ in range(100):
+            c = 0.5 * (a + b)
+            fc = _pattern_residual(params, pattern, c)[2]
+            if fc == 0.0 or (b - a) < 1e-15:
+                a = b = c
+                break
+            if fa * fc < 0.0:
+                b = c
+            else:
+                a, fa = c, fc
+        roots.append(0.5 * (a + b))
+    if resids[-1] == 0.0:
+        roots.append(float(deltas[-1]))
 
-    out = []
-    for d in roots:
-        m, _, _ = _pattern_residual(params, pattern, d)
-        out.append(tuple(m))
-    return out
+    return [tuple(_pattern_residual(params, pattern, d)[0]) for d in roots]
 
 
 def g_ab(a: float, b: float, x: float, p: int = 3) -> float:

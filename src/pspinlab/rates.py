@@ -209,7 +209,8 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float]) -> float:
         x = shift + t / c
         # rounding may land the edge t = 2 just inside the bulk, where the
         # objective is -inf; step up to the first x that maps to t >= 2
-        while t_func(params, m, x) < 2.0:
+        # (c * (x - shift) is t_func(params, m, x))
+        while c * (x - shift) < 2.0:
             x = math.nextafter(x, INF)
         best = max(best, sigma_max_joint(params, m, x))
     return best

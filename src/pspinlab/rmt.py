@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _libm
+
 __all__ = [
     "GOESpec",
     "MCEstimate",
@@ -193,17 +195,20 @@ def _semicircle_cdf(x):
 def _semicircle_partial_mean(x):
     """Antiderivative in quantile space: d/dq of this, at q = F(x), is Q(q)."""
     x = np.clip(x, -2.0, 2.0)
-    return -((4.0 - x * x) ** 1.5) / (6.0 * np.pi)
+    # the power goes through libm: numpy's SIMD ** 1.5 on arrays differs from
+    # its scalar form in the last ulps
+    return -_libm(pow, 4.0 - x * x, 1.5) / (6.0 * np.pi)
 
 
-def _semicircle_quantile(q: float) -> float:
-    lo, hi = -2.0, 2.0
+def _semicircle_quantile(q: np.ndarray) -> np.ndarray:
+    """Semicircle quantiles of an array of levels, by 80 bisection steps each."""
+    lo = np.full(q.shape, -2.0)
+    hi = np.full(q.shape, 2.0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _semicircle_cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
+        below = _semicircle_cdf(mid) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -212,20 +217,25 @@ def _w1_to_semicircle(ev: np.ndarray) -> float:
     semicircle, via the quantile coupling.
 
     Each block [i/n, (i+1)/n] is split where the semicircle quantile crosses
-    the i-th eigenvalue, and both halves integrate in closed form.
+    the i-th eigenvalue, and both halves integrate in closed form.  The
+    quantiles of all 3n block ends and split points are found in one array
+    bisection; the blocks are summed in order.
     """
     ev = np.sort(np.asarray(ev, dtype=float))
     n = len(ev)
+    a = np.arange(n) / n
+    b = np.arange(1, n + 1) / n
+    qc = np.minimum(np.maximum(_semicircle_cdf(ev), a), b)
+    xa, xb, xc = _semicircle_quantile(np.concatenate([a, b, qc])).reshape(3, n)
+    xa = np.where(a > 0.0, xa, -2.0)
+    xb = np.where(b < 1.0, xb, 2.0)
+    xc = np.where((0.0 < qc) & (qc < 1.0), xc, np.where(qc >= 1.0, 2.0, -2.0))
+    ma, mb, mc = _semicircle_partial_mean(np.stack([xa, xb, xc]))
+    left = ev * (qc - a) - (mc - ma)
+    right = (mb - mc) - ev * (b - qc)
     total = 0.0
-    for i, e in enumerate(ev):
-        a, b = i / n, (i + 1) / n
-        qc = min(max(float(_semicircle_cdf(e)), a), b)
-        xa = _semicircle_quantile(a) if a > 0.0 else -2.0
-        xb = _semicircle_quantile(b) if b < 1.0 else 2.0
-        xc = _semicircle_quantile(qc) if 0.0 < qc < 1.0 else (2.0 if qc >= 1.0 else -2.0)
-        left = e * (qc - a) - (_semicircle_partial_mean(xc) - _semicircle_partial_mean(xa))
-        right = (_semicircle_partial_mean(xb) - _semicircle_partial_mean(xc)) - e * (b - qc)
-        total += left + right
+    for v in (left + right).tolist():
+        total += v
     return total
 
 

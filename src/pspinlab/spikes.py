@@ -4,7 +4,9 @@ Conditioned on the overlap profile m, the landscape Hessian at a critical
 point looks like a GOE matrix plus a rank-r perturbation.  The perturbation is
 built from per-spike curvature weights theta_i and the Gram matrix of the
 projected spike directions; its eigenvalues gamma_1 >= ... >= gamma_r feed the
-large-deviation rates that separate saddles from local maxima.
+large-deviation rates that separate saddles from local maxima.  Both functions
+take one overlap point of shape (r,) or a stack of shape (N, r); a stack is
+diagonalized as one batch, with the same bits as its points one by one.
 """
 from __future__ import annotations
 
@@ -13,54 +15,62 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, _points
 
 __all__ = ["perturbation_factors", "spike_eigenvalues", "spike_eigenvalues_r2"]
 
 
 def perturbation_factors(
-    params: ModelParams, m: Sequence[float]
+    params: ModelParams, m: Sequence[float] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Curvature weights theta and the Gram matrix of projected spike directions.
 
     theta_i = sqrt(2 / (p(p-1))) * k_i (k_i - 1) * lam_i * m_i^{k_i-2} (1 - m_i^2);
     the Gram matrix has unit diagonal and off-diagonal entries
     -m_i m_j / sqrt((1 - m_i^2)(1 - m_j^2)).  Requires |m_i| < 1 for all i.
+    Shapes (r,) and (r, r) for one point, (N, r) and (N, r, r) for a stack.
     """
-    if len(m) != params.r:
-        raise ValueError(f"overlap vector has length {len(m)}, expected r = {params.r}")
-    m = np.asarray(m, dtype=float)
-    if np.any(np.abs(m) >= 1.0):
+    pts, single = _points(params, m)
+    if np.any(np.abs(pts) >= 1.0):
         raise ValueError("perturbation is degenerate at |m_i| = 1")
     p = params.p
     k = np.asarray(params.k, dtype=int)
     lam = np.asarray(params.lam, dtype=float)
-    rem = 1.0 - m * m
-    theta = math.sqrt(2.0 / (p * (p - 1))) * k * (k - 1) * lam * m ** (k - 2) * rem
+    rem = 1.0 - pts * pts
+    # a float exponent array of the full shape: a broadcast or integer exponent
+    # can send numpy down its scalar-exponent fast path (x*x for 2), whose bits
+    # differ from the power loop that a single point of r > 1 takes
+    power = pts ** np.tile(k - 2.0, (len(pts), 1))
+    theta = math.sqrt(2.0 / (p * (p - 1))) * k * (k - 1) * lam * power * rem
     root = np.sqrt(rem)
-    gram = -np.outer(m, m) / np.outer(root, root)
-    np.fill_diagonal(gram, 1.0)
-    return theta, gram
+    gram = -(pts[:, :, None] * pts[:, None, :]) / (root[:, :, None] * root[:, None, :])
+    diag = np.arange(params.r)
+    gram[:, diag, diag] = 1.0
+    return (theta[0], gram[0]) if single else (theta, gram)
 
 
-def spike_eigenvalues(params: ModelParams, m: Sequence[float]) -> np.ndarray:
+def spike_eigenvalues(params: ModelParams, m: Sequence[float] | np.ndarray) -> np.ndarray:
     """Eigenvalues of the rank-r Hessian perturbation, sorted descending.
 
     The perturbation D_theta * Gram is diagonalized through the symmetric
     conjugate sqrt(D_theta) * Gram * sqrt(D_theta) when all theta_i >= 0
     (the case m in [0,1]^r, where the result is also >= 0 entrywise); a
-    general eigensolver handles mixed signs.
+    general eigensolver handles mixed signs.  Shape (r,) for one point,
+    (N, r) for a stack, whose matrices are solved in one batched call.
     """
-    theta, gram = perturbation_factors(params, m)
-    if params.r == 1:
-        return np.array([theta[0]])
-    if np.all(theta >= 0.0):
-        root = np.sqrt(theta)
-        sym = gram * np.outer(root, root)
-        vals = np.linalg.eigvalsh(sym)
-    else:
-        vals = np.linalg.eigvals(theta[:, None] * gram).real
-    return np.sort(vals)[::-1]
+    pts, single = _points(params, m)
+    theta, gram = perturbation_factors(params, pts)
+    vals = theta
+    if params.r > 1:
+        # eigvalsh sorts ascending; sqrt(|theta|) is sqrt(theta) on the rows it keeps
+        root = np.sqrt(np.abs(theta))
+        vals = np.linalg.eigvalsh(gram * (root[:, :, None] * root[:, None, :]))
+        mixed = ~np.all(theta >= 0.0, axis=1)
+        if mixed.any():
+            general = np.linalg.eigvals(theta[mixed][:, :, None] * gram[mixed]).real
+            vals[mixed] = np.sort(general, axis=1)
+        vals = vals[:, ::-1]
+    return vals[0] if single else vals
 
 
 def spike_eigenvalues_r2(params: ModelParams, m: Sequence[float]) -> tuple[float, float]:

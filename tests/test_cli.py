@@ -1,4 +1,5 @@
 """Command line behavior: artifacts, determinism, tokens, exit codes."""
+import hashlib
 import json
 import math
 import subprocess
@@ -287,3 +288,94 @@ def test_rate_single_step_range(tmp_path):
     rows = out.read_text().splitlines()
     assert len(rows) == 2
     assert rows[1].startswith("2.5,")
+
+
+@pytest.mark.parametrize("line", ["quantiy=regime", "threads=4", "m=0.5"])
+def test_config_unknown_key_exit_code(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nr=1\nlam=0.5\nquantity=sigma_tot\naxis=0:1:5\n" + line + "\n")
+    out = tmp_path / "g.csv"
+    assert run_cli(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+    assert line.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of grid CSVs written by the point-by-point evaluator that the array
+# path replaced; every quantity, every regime label, mixed spike degrees, a
+# negative fixed overlap with odd k - 2 (mixed-sign curvature, the eigvals
+# branch), m^2 in the r = 1 curvature and a zero strength
+_R2 = ("--p", "3", "--r", "2", "--lam", "2.0,1.5", "--axis", "0:1:15", "--axis", "0:1:15")
+GRID_GOLDEN = {
+    "sigma_tot": (
+        ("--quantity", "sigma_tot", *_R2),
+        "3aebd48bf068e5bd0663380c7db93cfe10bda675d8b2e69b8c2afa77b4e8b791",
+    ),
+    "sigma_max": (
+        ("--quantity", "sigma_max", *_R2),
+        "1739e2e93552c4cb11d7954660358b7098e03f96a3f45c7735088d95b690b7e9",
+    ),
+    "regime": (
+        ("--quantity", "regime", *_R2),
+        "09625fb9b84034c04044d8b0aef52c80de795a794f7b7eb24bab4bfdf568d468",
+    ),
+    "gamma1": (
+        ("--quantity", "gamma1", *_R2),
+        "4a460498621d5f7b906b773bb0966f980998d83f137662c7cfa9ead195a6cf2b",
+    ),
+    "tau": (
+        ("--quantity", "tau", *_R2),
+        "0725f8a07cca8ab343638b52060bee69ed49ea25a6f0b05b0926156a10ad90ae",
+    ),
+    "eta": (
+        ("--quantity", "eta", *_R2),
+        "d73513c466174f3c1e6c927e61c4c4389261e2acc61fe5962336c6820c2c627d",
+    ),
+    "regime-r3-mixed": (
+        ("--quantity", "regime", "--p", "4", "--r", "3", "--k", "4,3,5", "--lam", "2.5,1.0,0.7",
+         "--fix", "2:0.3", "--axis", "0:0.95:15", "--axis", "0.05:1:15"),
+        "cb7d089f1611fb7fca81f2b6b1113c8923734fe8110b216f4677b91c1e779832",
+    ),
+    "gamma1-negative-fix": (
+        ("--quantity", "gamma1", "--p", "3", "--r", "2", "--k", "4,3", "--lam", "2.0,1.5",
+         "--fix", "1:-0.4", "--axis", "0:1:15"),
+        "50d23860d6727ebef7fea6856b9bcf6f13a4528a4784e38982f2426a6ee22b9a",
+    ),
+    "gamma1-r1-k4": (
+        ("--quantity", "gamma1", "--p", "4", "--r", "1", "--lam", "1.3", "--axis", "0:1:50"),
+        "5fd3e78936f0e8c88e75597f934477105cba24defbe72175c7a153421c001cca",
+    ),
+    "eta-zero-lam": (
+        ("--quantity", "eta", "--p", "3", "--r", "2", "--lam", "1.0,0.0",
+         "--axis", "0:1:15", "--axis", "0:1:15"),
+        "c5f1072ece7199b7d10e825c99908592a9ec3bb014dc6d2cbea65955a5fd2761",
+    ),
+    "tau-r1": (
+        ("--quantity", "tau", "--p", "5", "--r", "1", "--k", "4", "--lam", "1.3",
+         "--axis", "0:1:15"),
+        "dd021e973e374239121b5e7e979312867b12a26b33e04af0a54cce1a86c35e69",
+    ),
+    "regime-r1": (
+        ("--quantity", "regime", "--p", "3", "--r", "1", "--lam", "2.0", "--axis", "0:1:15"),
+        "6e1b07890d38a3fb8bcb488af5ae661075a81cf057c769513bb69b7aa19b650e",
+    ),
+    # label 4 at m2 = 0: m1 is the large zero-locus root at lambda = 2
+    "regime-zero-locus": (
+        ("--quantity", "regime", "--p", "3", "--r", "2", "--lam", "2.0,0.0",
+         "--fix", "0:0.9779751860797075", "--axis", "0:1:15"),
+        "b2d3a87f8d05b099b8f024595ce89cb0fffea922076f2746b29ed83478e1f6ab",
+    ),
+    # label 2 at m2 = 0: m1 is the zero crossing of the surface at lambda = 0.5
+    "regime-zero-boundary": (
+        ("--quantity", "regime", "--p", "3", "--r", "2", "--lam", "0.5,0.0",
+         "--fix", "0:0.7071067811865475", "--axis", "0:1:15"),
+        "a096e48c01d9e7730843ee8c9da86f04a7c9b27616148cf1ced0a76aedee3a6a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
+def test_grid_artifact_matches_recorded_digest(tmp_path, name):
+    argv, digest = GRID_GOLDEN[name]
+    out = tmp_path / "g.csv"
+    assert run_cli(["grid", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

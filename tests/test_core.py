@@ -1,6 +1,7 @@
 """Closed-form layer: frozen-value checks and structural properties."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,15 +17,18 @@ from pspinlab import (
     f_ab,
     g_ab,
     lambda_critical,
+    perturbation_factors,
     phi_star,
     s_func,
     sigma_tot_joint,
     sigma_tot_projected,
+    spike_eigenvalues,
     t_func,
     tau_critical,
     y_shift,
     zero_locus_solve,
 )
+from pspinlab.core import _pattern_residual, _profile_parts, _zero_conditions_hold
 
 P31 = ModelParams(p=3, r=1, k=(3,), lam=(2.0,))
 P32 = ModelParams(p=3, r=2, k=(3, 3), lam=(2.0, 1.5))
@@ -138,6 +142,115 @@ def test_zero_locus_r2_no_joint_solution():
     # eta above threshold: the two-spike conditions have no real root
     mid = ModelParams(p=3, r=2, k=(3, 3), lam=(1.2, 0.9))
     assert zero_locus_solve(mid, pattern=(0, 1)) == []
+
+
+def _assert_condition_b(params, sol, rel=1e-9):
+    """The shift condition sqrt(p/2) tau = alpha / (2 sqrt(1 - alpha)) holds."""
+    aux = aux_statistics(params, sol)
+    lhs = math.sqrt(0.5 * params.p) * aux.tau
+    rhs = 0.5 * aux.alpha / math.sqrt(1.0 - aux.alpha)
+    assert abs(lhs - rhs) <= rel * rhs
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("eps", [1e-11, 1e-9])
+def test_zero_locus_root_pair_just_above_lambda_c(p, eps):
+    # both roots sit within ~sqrt(eps) of the peak m^2 = (k-2)/(k-1), inside
+    # one cell of the slope scan
+    params = ModelParams(p=p, r=1, k=(p,), lam=(lambda_critical(p) * (1 + eps),))
+    sols = zero_locus_solve(params)
+    assert len(sols) == 2
+    assert sols[0][0] < math.sqrt((p - 2) / (p - 1)) < sols[1][0]
+    for sol in sols:
+        _assert_condition_b(params, sol)
+    below = ModelParams(p=p, r=1, k=(p,), lam=(lambda_critical(p) * (1 - eps),))
+    assert zero_locus_solve(below) == []
+
+
+@pytest.mark.parametrize(
+    "params, pattern",
+    [
+        (ModelParams(p=3, r=1, k=(3,), lam=(20.0,)), None),
+        (ModelParams(p=3, r=1, k=(3,), lam=(3000.0,)), None),
+        (ModelParams(p=4, r=2, k=(3, 4), lam=(60.0, 1.5)), (0,)),
+    ],
+)
+def test_zero_locus_strong_spike_keeps_both_roots(params, pattern):
+    # a strong spike puts the large root above the last scan point and, at
+    # lambda = 3000, the small root below the first; near alpha = 1 the
+    # shift condition is ill-conditioned, hence the looser check
+    sols = zero_locus_solve(params, pattern)
+    assert len(sols) == 2
+    assert sols[1][0] > 0.9997
+    for sol in sols:
+        _assert_condition_b(params, sol, rel=1e-7)
+        assert all(v == 0.0 for v in sol[1:])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_stack_matches_single_points(data):
+    """Every broadcast function on an (N, r) stack equals its one-point call
+    on each row, bit for bit."""
+    r = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(3, 5))
+    k = tuple(data.draw(st.lists(st.integers(3, 5), min_size=r, max_size=r)))
+    strength = st.floats(0.0, 3.0).map(lambda v: round(v, 3))
+    lam = data.draw(st.lists(strength, min_size=r, max_size=r))
+    params = ModelParams(p=p, r=r, k=k, lam=tuple(sorted(lam, reverse=True)))
+    coord = st.one_of(st.floats(0.0, 1.0), st.floats(-0.25, 1.25), st.sampled_from([0.0, 1.0]))
+    rows = data.draw(st.lists(st.lists(coord, min_size=r, max_size=r), min_size=1, max_size=10))
+    rows += [list(sol) for sol in zero_locus_solve(params)]
+    pts = np.array(rows)
+
+    parts = _profile_parts(params, pts)
+    values = sigma_tot_projected(params, pts)
+    codes = classify_regime(params, pts)
+    held = _zero_conditions_hold(params, pts, 1e-6)
+    aux = aux_statistics(params, pts)
+    for i, row in enumerate(rows):
+        assert _bits([v[i] for v in parts]) == _bits(_profile_parts(params, row))
+        assert _bits(values[i]) == _bits(sigma_tot_projected(params, row))
+        assert codes[i] == classify_regime(params, row)
+        assert held[i] == _zero_conditions_hold(params, row, 1e-6)
+        one = aux_statistics(params, row)
+        for name in ("tau", "alpha", "beta", "eta", "tau_star"):
+            assert _bits(getattr(aux, name)[i]) == _bits(getattr(one, name))
+        assert _bits([aux.tau_c, aux.eta_c]) == _bits([one.tau_c, one.eta_c])
+
+    inner = pts[np.all(np.abs(pts) < 1.0, axis=1)]
+    theta, gram = perturbation_factors(params, inner)
+    gammas = spike_eigenvalues(params, inner)
+    for i, row in enumerate(inner.tolist()):
+        one_theta, one_gram = perturbation_factors(params, row)
+        assert _bits(theta[i]) == _bits(one_theta)
+        assert _bits(gram[i]) == _bits(one_gram)
+        assert _bits(gammas[i]) == _bits(spike_eigenvalues(params, row))
+
+    pattern = tuple(i for i in range(r) if params.lam[i] > 0.0)
+    if pattern:
+        deltas = data.draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8))
+        m, alpha, resid = _pattern_residual(params, pattern, np.array(deltas))
+        for i, delta in enumerate(deltas):
+            one_m, one_alpha, one_resid = _pattern_residual(params, pattern, delta)
+            assert _bits(m[i]) == _bits(one_m)
+            assert _bits([alpha[i], resid[i]]) == _bits([one_alpha, one_resid])
+
+
+def test_single_point_returns_python_scalars():
+    m = [0.5, 0.2]
+    assert type(sigma_tot_projected(P32, m)) is float
+    assert isinstance(classify_regime(P32, m), RegimeLabel)
+    assert type(aux_statistics(P32, m).eta) is float
+    assert type(_zero_conditions_hold(P32, m, 1e-6)) is bool
+    stack = sigma_tot_projected(P32, np.array([m, m]))
+    assert stack.shape == (2,)
+    with pytest.raises(ValueError):
+        sigma_tot_projected(P32, np.zeros((2, 3)))
 
 
 def test_classify_labels():

@@ -114,6 +114,21 @@ def test_esd_distance_small():
     assert d["d_bl"] > 0.0
 
 
+@pytest.mark.parametrize("gamma", [(), (2.5, 0.5)])
+def test_w1_matches_cdf_quadrature(gamma):
+    # oracle: W1 = integral of |F_emp - F_sc| dx, on a fine grid; it shares
+    # no code with the quantile coupling
+    from pspinlab.rmt import _w1_to_semicircle
+
+    ev = sample_spectrum(GOESpec(n=300, gamma=gamma, seed=3)).eigenvalues
+    x = np.linspace(min(ev[0], -2.0) - 0.1, max(ev[-1], 2.0) + 0.1, 2_000_001)
+    xc = np.clip(x, -2.0, 2.0)
+    f_sc = 0.5 + xc * np.sqrt(4.0 - xc * xc) / (4.0 * np.pi) + np.arcsin(xc / 2.0) / np.pi
+    f_emp = np.searchsorted(ev, x, side="right") / len(ev)
+    oracle = float(np.sum(np.abs(f_emp - f_sc)) * (x[1] - x[0]))
+    assert _w1_to_semicircle(ev) == pytest.approx(oracle, abs=1e-5)
+
+
 def test_esd_spiked_comparable():
     base = esd_distance(GOESpec(n=1000, seed=0))
     spiked = esd_distance(GOESpec(n=1000, gamma=(1.5, 0.5), seed=0))

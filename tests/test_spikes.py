@@ -99,3 +99,24 @@ def test_continuity_near_axis():
     base = spike_eigenvalues(P2, [0.5, 1e-12])
     near = spike_eigenvalues(P2, [0.5, 1e-7])
     assert np.allclose(base, near, atol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(p=4, r=1, k=(4,), lam=(1.3,)),
+        ModelParams(p=3, r=2, k=(4, 5), lam=(2.0, 1.5)),
+        ModelParams(p=5, r=3, k=(3, 4, 5), lam=(2.0, 1.0, 0.5)),
+    ],
+)
+def test_stack_matches_single_points_bitwise(params):
+    # numpy picks its power loop by shape and exponent dtype (x*x for 2 on some
+    # layouts), so a stack and its rows one at a time must agree bit for bit
+    pts = np.random.default_rng(11).uniform(-0.6, 0.95, size=(300, params.r))
+    theta, gram = perturbation_factors(params, pts)
+    vals = spike_eigenvalues(params, pts)
+    for i, row in enumerate(pts):
+        one_theta, one_gram = perturbation_factors(params, row)
+        assert theta[i].tobytes() == one_theta.tobytes()
+        assert gram[i].tobytes() == one_gram.tobytes()
+        assert vals[i].tobytes() == spike_eigenvalues(params, row).tobytes()
