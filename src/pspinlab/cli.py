@@ -369,10 +369,13 @@ def cmd_classify(res: Resolver) -> int:
     tol = res.get("tol", _conv_float, default=1e-6)
     label = classify_regime(params, m, tol=tol)
     aux = aux_statistics(params, m)
+    value = sigma_tot_projected(params, m)
+    if math.isnan(value):
+        raise UsageError(f"sigma_tot at m = {list(m)} leaves the float range (NaN)")
     doc = {
         "label": label.name,
         "code": int(label),
-        "sigma_tot": sigma_tot_projected(params, m),
+        "sigma_tot": value,
         "aux": {
             "tau": aux.tau,
             "alpha": aux.alpha,

@@ -166,7 +166,21 @@ def _libm(fn, x, *args) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     columns = [itertools.repeat(a) for a in args]
-    return np.array(list(map(fn, x.ravel().tolist(), *columns)), dtype=float).reshape(x.shape)
+    try:
+        values = list(map(fn, x.ravel().tolist(), *columns))
+    except OverflowError:
+        values = [_saturating(fn, v, *args) for v in x.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(x.shape)
+
+
+def _saturating(fn, x: float, *args) -> float:
+    """fn(x, *args), or +-inf where Python raises OverflowError and the C
+    library returns an infinity (only pow overflows among the four)."""
+    try:
+        return fn(x, *args)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.power(x, *args))
 
 
 def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
@@ -307,7 +321,7 @@ def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxS
         sq = sq + _libm(pow, lam_i * k_i * _libm(pow, m_i, k_i - 1), 2)
         active = m_i != 0.0
         if active.any():  # the weight can overflow; a point with m_i = 0 never needs it
-            weight = lam_i ** (-2.0 / (k_i - 2)) if lam_i > 0 else math.inf
+            weight = _saturating(pow, lam_i, -2.0 / (k_i - 2)) if lam_i > 0 else math.inf
             eta = eta + np.where(active, weight, 0.0)
     sq = sq / (p * p)
 
@@ -404,13 +418,14 @@ def _pattern_residual(params: ModelParams, pattern: tuple[int, ...], delta):
     p = params.p
     m = np.zeros((len(deltas), params.r))
     alpha = tau = np.zeros(len(deltas))
-    for i in pattern:
-        k_i, lam_i = params.k[i], params.lam[i]
-        m_i = _libm(pow, p * deltas / (k_i * lam_i), 1.0 / (k_i - 2))
-        m[:, i] = m_i
-        alpha = alpha + m_i * m_i
-        tau = tau + lam_i * k_i * _libm(pow, m_i, k_i) / p
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # slopes far past alpha = 1 overflow to inf, which the NaN residual covers
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in pattern:
+            k_i, lam_i = params.k[i], params.lam[i]
+            m_i = _libm(pow, p * deltas / (k_i * lam_i), 1.0 / (k_i - 2))
+            m[:, i] = m_i
+            alpha = alpha + m_i * m_i
+            tau = tau + lam_i * k_i * _libm(pow, m_i, k_i) / p
         resid = math.sqrt(0.5 * p) * tau - 0.5 * alpha / np.sqrt(1 - alpha)
     resid = np.where(alpha >= 1.0, math.nan, resid)
     if single:
@@ -452,11 +467,17 @@ def zero_locus_solve(
         hi *= 2.0
         if hi > 1e12:
             break
-    for _ in range(200):
+    # bisect until the bracket stops moving; a weak spike puts delta_max many
+    # binades below 1, and the float range bounds the number of halvings
+    for _ in range(2200):
         mid = 0.5 * (lo + hi)
         if _pattern_residual(params, pattern, mid)[1] < 1.0:
+            if lo == mid:
+                break
             lo = mid
         else:
+            if hi == mid:
+                break
             hi = mid
     delta_max = lo
 

@@ -7,8 +7,11 @@ has covariance <sigma, sigma'>^p / (2n) on the unit sphere of R^n; spikes sit
 on the first r coordinate axes.  At n = 2 the critical points are the zeros
 of a trigonometric polynomial, found exactly as the unit-circle roots of its
 companion matrix; for n >= 3 a budgeted multistart Riemannian Newton search
-is best-effort.  The expected-count integral is a Gauss-Legendre rule, split
-at the kinks of |det H| and checked by refinement.
+is best-effort.  The multistart advances a stack of starts in lockstep, all
+starts of as many landscapes as fill one array pass at once, and each row
+takes exactly the steps a search from that start alone would take.  The
+expected-count integral is a Gauss-Legendre rule, split at the kinks of
+|det H| and checked by refinement.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ModelParams, s_func, t_func
+from .core import ModelParams, _libm, s_func, t_func
 from .rmt import MCEstimate
 from .spikes import spike_eigenvalues
 
@@ -36,6 +39,11 @@ __all__ = [
 ]
 
 _LETTERS = "abcdefgh"
+# Doubles in the largest array of one pass (of the Gauss rule over draws,
+# value nodes and eigenvalues; of the Newton stack over starts and step
+# sizes); passes this small keep numpy's temporaries out of fresh
+# page-faulting allocations.
+_CHUNK = 1 << 14
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -95,96 +103,140 @@ class CriticalPoint:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
+# evaluation on stacks of points
 
-def _tensor_value(t: np.ndarray, sigma: np.ndarray) -> float:
-    p = t.ndim
-    sub = _LETTERS[:p] + "," + ",".join(_LETTERS[i] for i in range(p)) + "->"
-    return float(np.einsum(sub, t, *([sigma] * p)))
-
-
-def _tensor_grad(t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    p = t.ndim
-    sub = _LETTERS[:p] + "," + ",".join(_LETTERS[i] for i in range(1, p)) + f"->{_LETTERS[0]}"
-    return p * np.einsum(sub, t, *([sigma] * (p - 1)))
-
-
-def _tensor_hess(t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    p = t.ndim
-    if p == 2:
-        return 2.0 * t
-    sub = (
+def _subscripts(p: int, free: int) -> str:
+    """einsum subscripts contracting the last p - free axes of a p-tensor
+    against points (..., n), leaving the shape (...,) + (n,) * free."""
+    return (
         _LETTERS[:p]
         + ","
-        + ",".join(_LETTERS[i] for i in range(2, p))
-        + f"->{_LETTERS[0]}{_LETTERS[1]}"
+        + ",".join("..." + c for c in _LETTERS[free:p])
+        + "->..."
+        + _LETTERS[:free]
     )
-    return p * (p - 1) * np.einsum(sub, t, *([sigma] * (p - 2)))
 
 
-def _value(poly: SpikedPolynomial, sigma: np.ndarray) -> float:
-    v = _tensor_value(poly.tensor, sigma)
+def _contract(polys: Sequence[SpikedPolynomial], owner: np.ndarray, sigma: np.ndarray, free: int):
+    """Row j of sigma (N, n) contracted into the last p - free axes of the
+    tensor of its landscape polys[owner[j]]: shape (N,) + (n,) * free.
+
+    Each landscape's rows are contiguous, so each tensor enters one einsum
+    per run of its rows and is never copied per row.
+    """
+    p = polys[0].params.p
+    sub = _subscripts(p, free)
+    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    return np.concatenate([
+        np.einsum(sub, polys[owner[a]].tensor, *([sigma[a:b]] * (p - free)))
+        for a, b in zip([0, *cuts], [*cuts, len(owner)])
+    ])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products over the last axis.
+
+    A stack of (1, n) @ (n, 1) products gives each row the bits of np.dot on
+    that pair, as the one-point computation had them; np.linalg.norm with an
+    axis, and einsum, sum in another order.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
+def _value(poly: SpikedPolynomial, sigma: np.ndarray) -> np.ndarray:
+    """The landscape at one point (n,) or at each point of a stack (..., n)."""
+    p = poly.params.p
+    v = np.einsum(_subscripts(p, 0), poly.tensor, *([sigma] * p))
     for i, (lam_i, k_i) in enumerate(zip(poly.params.lam, poly.params.k)):
-        v += lam_i * sigma[i] ** k_i
+        v = v + lam_i * _libm(pow, sigma[..., i], k_i)
     return v
 
 
-def _grad(poly: SpikedPolynomial, sigma: np.ndarray) -> np.ndarray:
-    g = _tensor_grad(poly.tensor, sigma)
-    for i, (lam_i, k_i) in enumerate(zip(poly.params.lam, poly.params.k)):
-        g[i] += lam_i * k_i * sigma[i] ** (k_i - 1)
+def _grad(polys, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Euclidean gradients (N, n) at the rows of sigma."""
+    params = polys[0].params
+    g = params.p * _contract(polys, owner, sigma, 1)
+    for i, (lam_i, k_i) in enumerate(zip(params.lam, params.k)):
+        if lam_i:
+            g[:, i] += lam_i * k_i * _libm(pow, sigma[:, i], k_i - 1)
     return g
 
 
-def _hess(poly: SpikedPolynomial, sigma: np.ndarray) -> np.ndarray:
-    h = _tensor_hess(poly.tensor, sigma)
-    for i, (lam_i, k_i) in enumerate(zip(poly.params.lam, poly.params.k)):
-        h[i, i] += lam_i * k_i * (k_i - 1) * sigma[i] ** (k_i - 2)
-    return h
+def _projected_gradient(polys, owner: np.ndarray, sigma: np.ndarray):
+    """Tangent projections (N, n) of the gradients at the rows of sigma
+    (N, n), row j on polys[owner[j]], and their radial parts (N,)."""
+    g = _grad(polys, owner, sigma)
+    radial = _dot(sigma, g)
+    return g - radial[:, None] * sigma, radial
 
 
-def _tangent_basis(sigma: np.ndarray) -> np.ndarray:
-    n = len(sigma)
-    q, _ = np.linalg.qr(np.column_stack([sigma, np.eye(n)]))
-    return q[:, 1:n]
+def _tangent_hessian(polys, owner: np.ndarray, sigma: np.ndarray, radial: np.ndarray):
+    """Tangent Hessians (N, n-1, n-1) in the tangent bases (N, n, n-1) at the
+    rows of sigma.
+
+    The bases stay views into the QR factors: matmul picks its kernel by
+    memory layout, and this layout keeps each row's products bit-equal to
+    the one-point computation.
+    """
+    params = polys[0].params
+    p = params.p
+    count, n = sigma.shape
+    h = p * (p - 1) * _contract(polys, owner, sigma, 2)
+    for i, (lam_i, k_i) in enumerate(zip(params.lam, params.k)):
+        if lam_i:
+            h[:, i, i] += lam_i * k_i * (k_i - 1) * _libm(pow, sigma[:, i], k_i - 2)
+    frame = np.concatenate([sigma[:, :, None], np.broadcast_to(np.eye(n), (count, n, n))], axis=2)
+    b = np.linalg.qr(frame)[0][:, :, 1:]
+    return b.transpose(0, 2, 1) @ h @ b - radial[:, None, None] * np.eye(n - 1), b
 
 
-def _riemannian_data(poly: SpikedPolynomial, sigma: np.ndarray):
-    """Projected gradient, tangent Hessian, and its scale at a point."""
-    g = _grad(poly, sigma)
-    radial = float(np.dot(sigma, g))
-    g_tan = g - radial * sigma
-    b = _tangent_basis(sigma)
-    h = b.T @ _hess(poly, sigma) @ b - radial * np.eye(len(sigma) - 1)
-    return g_tan, h, b
+def _critical_points(
+    poly: SpikedPolynomial, sigma: np.ndarray, ill_conditioned=None
+) -> list[CriticalPoint]:
+    """CriticalPoints for the rows of sigma (N, n) on one landscape, sorted by
+    (value, position).
 
-
-def _grad_residual(poly: SpikedPolynomial, sigma: np.ndarray) -> float:
-    g = _grad(poly, sigma)
-    return float(np.linalg.norm(g - np.dot(sigma, g) * sigma))
-
-
-def _classify_index(h_tan: np.ndarray) -> tuple[int, bool]:
-    """Morse index and degeneracy flag with a spectral-norm-relative zero band."""
-    ev = np.linalg.eigvalsh(h_tan)
-    scale = float(np.max(np.abs(ev))) if len(ev) else 0.0
-    band = 1e-8 * max(scale, 1e-12)
-    degenerate = bool(np.any(np.abs(ev) <= band))
-    index = int(np.sum(ev < -band))
-    return index, degenerate
-
-
-def _critical_point(poly: SpikedPolynomial, sigma: np.ndarray) -> CriticalPoint:
-    g_tan, h_tan, _ = _riemannian_data(poly, sigma)
-    index, degenerate = _classify_index(h_tan)
-    return CriticalPoint(
-        position=tuple(sigma),
-        value=_value(poly, sigma),
-        overlaps=tuple(sigma[: poly.params.r]),
-        index=index,
-        residual=float(np.linalg.norm(g_tan)),
-        degenerate=degenerate,
-    )
+    The Morse index counts tangent-Hessian eigenvalues below a zero band of
+    1e-8 times the spectral norm, from one batched eigvalsh; an eigenvalue
+    inside the band marks the point degenerate.
+    """
+    if not len(sigma):
+        return []
+    owner = np.zeros(len(sigma), dtype=int)
+    g_tan, radial = _projected_gradient([poly], owner, sigma)
+    ev = np.linalg.eigvalsh(_tangent_hessian([poly], owner, sigma, radial)[0])
+    band = 1e-8 * np.maximum(np.max(np.abs(ev), axis=1), 1e-12)[:, None]
+    degenerate = np.any(np.abs(ev) <= band, axis=1)
+    index = np.sum(ev < -band, axis=1)
+    residual = _norm(g_tan)
+    if ill_conditioned is None:
+        ill_conditioned = np.zeros(len(sigma), dtype=bool)
+    r = poly.params.r
+    points = [
+        CriticalPoint(
+            position=tuple(row),
+            value=value,
+            overlaps=tuple(row[:r]),
+            index=i,
+            residual=res,
+            degenerate=deg,
+            ill_conditioned=ill,
+        )
+        for row, value, i, res, deg, ill in zip(
+            sigma.tolist(),
+            _value(poly, sigma).tolist(),
+            index.tolist(),
+            residual.tolist(),
+            degenerate.tolist(),
+            ill_conditioned.tolist(),
+        )
+    ]
+    points.sort(key=lambda c: (c.value, c.position))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -239,93 +291,159 @@ def _circle_roots(poly: SpikedPolynomial) -> tuple[np.ndarray, np.ndarray]:
 
 def _find_on_circle(poly: SpikedPolynomial, tol: float) -> list[CriticalPoint]:
     angles, off = _circle_roots(poly)
-    points = []
-    for phi, dz in zip(angles, off):
-        pt = _critical_point(poly, np.array([math.cos(phi), math.sin(phi)]))
-        if dz > _MODULUS_TOL or pt.residual > tol:
-            pt = replace(pt, ill_conditioned=True)
-        points.append(pt)
-    points.sort(key=lambda c: (c.value, c.position))
-    return points
+    sigma = np.array([[math.cos(a), math.sin(a)] for a in angles.tolist()]).reshape(-1, 2)
+    points = _critical_points(poly, sigma, off > _MODULUS_TOL)
+    return [replace(pt, ill_conditioned=True) if pt.residual > tol else pt for pt in points]
 
 
 # ---------------------------------------------------------------------------
 # budgeted multistart Newton (n >= 3)
 
 _DEDUP_RADIUS = 1e-6
+_NEWTON_ITERATIONS = 80
+_HALVINGS = 25
 
 
-def _newton_polish(poly: SpikedPolynomial, sigma: np.ndarray, tol: float):
-    for _ in range(80):
-        g_tan, h_tan, b = _riemannian_data(poly, sigma)
-        res = float(np.linalg.norm(g_tan))
-        if res <= tol:
-            return sigma, res
-        rhs = b.T @ g_tan
-        try:
-            delta = np.linalg.solve(h_tan, -rhs)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(h_tan, -rhs, rcond=None)[0]
-        norm = float(np.linalg.norm(delta))
-        if norm > 1.0:
-            delta *= 1.0 / norm
-        step = 1.0
-        for _ in range(25):
-            cand = sigma + step * (b @ delta)
-            cand /= np.linalg.norm(cand)
-            if _grad_residual(poly, cand) < res:
-                sigma = cand
-                break
-            step *= 0.5
-        else:
-            # gradient fallback when the Newton direction stalls
-            cand = sigma - 0.1 * g_tan / max(res, 1e-12)
-            sigma = cand / np.linalg.norm(cand)
-    g_tan, _, _ = _riemannian_data(poly, sigma)
-    return sigma, float(np.linalg.norm(g_tan))
+def _pass_rows(n: int) -> int:
+    """Starts per lockstep pass: the pass's largest array, the trial points of
+    every step size, holds at most _CHUNK doubles."""
+    return max(1, _CHUNK // (_HALVINGS * n))
 
 
-def _find_multistart(
-    poly: SpikedPolynomial, tol: float, budget: int
-) -> list[CriticalPoint]:
-    rng = np.random.default_rng(poly.seed + (10_007,))
-    n = poly.n
-    found: list[np.ndarray] = []
-    for _ in range(budget):
-        start = rng.normal(size=n)
-        start /= np.linalg.norm(start)
-        sigma, res = _newton_polish(poly, start, tol)
-        if res > tol:
-            continue
-        fresh = True
-        for prev in found:
-            cosang = float(np.clip(np.dot(prev, sigma), -1.0, 1.0))
-            if math.acos(cosang) < _DEDUP_RADIUS:
-                fresh = False
-                break
-        if fresh:
-            found.append(sigma)
+def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """h x = rhs for a stack; rows whose h is singular take the least-squares x."""
+    try:
+        return np.linalg.solve(h, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for j in range(len(h)):
+            try:
+                out[j] = np.linalg.solve(h[j], rhs[j])
+            except np.linalg.LinAlgError:
+                out[j] = np.linalg.lstsq(h[j], rhs[j], rcond=None)[0]
+        return out
 
-    points = [_critical_point(poly, sigma) for sigma in found]
-    points.sort(key=lambda c: (c.value, c.position))
-    return points
+
+def _newton(polys, owner: np.ndarray, sigma: np.ndarray, tol: float):
+    """Riemannian Newton from every row of sigma (N, n) at once, row j on
+    landscape polys[owner[j]]; returns the final points and their projected
+    gradient norms.
+
+    Each row follows the per-start rule: stop once the residual is <= tol;
+    otherwise take the Newton step (least squares on a singular Hessian),
+    clipped to norm 1, and halve it up to 25 times until the residual drops,
+    with a 0.1 gradient step if none does; at most 80 iterations.  All rows
+    advance together, converged rows leave the stack, and the 25 step sizes
+    are tried in one pass, the first that lowers the residual being taken.
+    """
+    sigma = sigma.copy()
+    n = sigma.shape[1]
+    res = np.empty(len(sigma))
+    live = np.arange(len(sigma))
+    steps = 0.5 ** np.arange(_HALVINGS)
+    for _ in range(_NEWTON_ITERATIONS):
+        own, at = owner[live], sigma[live]
+        g_tan, radial = _projected_gradient(polys, own, at)
+        r = _norm(g_tan)
+        done = r <= tol
+        res[live[done]] = r[done]
+        go = ~done
+        live, own, at, g_tan, radial, r = live[go], own[go], at[go], g_tan[go], radial[go], r[go]
+        if not len(live):
+            break
+        h_tan, b = _tangent_hessian(polys, own, at, radial)
+        rhs = (b.transpose(0, 2, 1) @ g_tan[:, :, None])[:, :, 0]
+        delta = _solve(h_tan, -rhs)
+        norm = _norm(delta)
+        clip = norm > 1.0
+        delta[clip] *= (1.0 / norm[clip])[:, None]
+        move = (b @ delta[:, :, None])[:, :, 0]
+        cand = at[:, None, :] + steps[:, None] * move[:, None, :]
+        cand /= _norm(cand)[:, :, None]
+        cand_res = _norm(_projected_gradient(polys, np.repeat(own, _HALVINGS), cand.reshape(-1, n))[0])
+        better = cand_res.reshape(len(live), _HALVINGS) < r[:, None]
+        first = np.argmax(better, axis=1)
+        rows = np.arange(len(live))
+        nxt = cand[rows, first]
+        # gradient fallback when the Newton direction stalls
+        stalled = ~better[rows, first]
+        fall = at[stalled] - 0.1 * g_tan[stalled] / np.maximum(r[stalled], 1e-12)[:, None]
+        nxt[stalled] = fall / _norm(fall)[:, None]
+        sigma[live] = nxt
+    if len(live):
+        res[live] = _norm(_projected_gradient(polys, owner[live], sigma[live])[0])
+    return sigma, res
+
+
+def _multistart(polys: Sequence[SpikedPolynomial], tol: float, budget: int) -> list[list[CriticalPoint]]:
+    """The critical points found by budget Newton starts on each landscape.
+
+    The starts are seeded from the landscape seed; all starts of all
+    landscapes run in lockstep passes of _pass_rows rows.  Converged points
+    closer than _DEDUP_RADIUS (geodesic) to one found from an earlier start
+    are merged.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    n = polys[0].n
+    starts = np.concatenate(
+        [np.random.default_rng(poly.seed + (10_007,)).normal(size=(budget, n)) for poly in polys]
+    )
+    starts /= _norm(starts)[:, None]
+    owner = np.repeat(np.arange(len(polys)), budget)
+    sigma = np.empty_like(starts)
+    res = np.empty(len(starts))
+    rows = _pass_rows(n)
+    for lo in range(0, len(starts), rows):
+        part = slice(lo, lo + rows)
+        sigma[part], res[part] = _newton(polys, owner[part], starts[part], tol)
+    found_by_landscape = []
+    for j, poly in enumerate(polys):
+        found: list[np.ndarray] = []
+        for point, r in zip(sigma[j * budget:(j + 1) * budget], res[j * budget:(j + 1) * budget]):
+            if r <= tol and all(
+                math.acos(float(np.clip(np.dot(prev, point), -1.0, 1.0))) >= _DEDUP_RADIUS
+                for prev in found
+            ):
+                found.append(point)
+        found_by_landscape.append(_critical_points(poly, np.array(found).reshape(-1, n)))
+    return found_by_landscape
 
 
 def find_critical_points(
     poly: SpikedPolynomial, tol: float = 1e-10, budget: int = 200
 ) -> list[CriticalPoint]:
-    """All critical points of the sampled landscape.
+    """All critical points of the sampled landscape, sorted by (value, position).
 
     n = 2: every zero of the circle derivative, as the unit-modulus roots of
     its companion polynomial, each polished by one Newton step; roots that
     fail the modulus or residual (tol) check are kept and marked
-    ill_conditioned.  n >= 3: budget-limited multistart Newton, best-effort;
-    points closer than 1e-6 in geodesic distance are merged.  Antipodes are
-    distinct critical points and are never identified.
+    ill_conditioned.  n >= 3: budget-limited multistart Riemannian Newton,
+    best-effort, run as one lockstep stack of all budget starts (the same
+    stack path that count_expected runs over many landscapes); starts that
+    end with a residual above tol are dropped, and points closer than 1e-6 in
+    geodesic distance are merged.  Antipodes are distinct critical points and
+    are never identified.  budget < 1 raises ValueError at n >= 3.
     """
     if poly.n == 2:
         return _find_on_circle(poly, tol)
-    return _find_multistart(poly, tol, budget)
+    return _multistart([poly], tol, budget)[0]
+
+
+def _landscapes(params: ModelParams, n: int, trials: int, seed: int, tol: float, budget: int):
+    """The critical points of each landscape (seed, t), in trial order.
+
+    n >= 3: as many landscapes as fill one lockstep pass are built and
+    searched together.
+    """
+    if n == 2:
+        for t in range(trials):
+            yield find_critical_points(build_polynomial(params, n, (seed, t)), tol=tol)
+        return
+    group = max(1, _pass_rows(n) // max(budget, 1))  # _multistart rejects budget < 1
+    for lo in range(0, trials, group):
+        polys = [build_polynomial(params, n, (seed, t)) for t in range(lo, min(lo + group, trials))]
+        yield from _multistart(polys, tol, budget)
 
 
 def _window_ok(value: float, window) -> bool:
@@ -343,12 +461,23 @@ def count_expected(
     tol: float = 1e-10,
     budget: int = 200,
 ) -> MCEstimate:
-    """Monte Carlo mean of the exact critical-point count over fresh landscapes.
+    """Monte Carlo mean of the critical-point count over fresh landscapes.
+
+    Landscape t is build_polynomial(params, n, (seed, t)).  n = 2 counts
+    every critical point (find_critical_points on each landscape).  n >= 3
+    runs the budgeted multistart Newton of find_critical_points, with the
+    starts of many landscapes advanced together in one lockstep stack; it
+    gives the same points as a search of each landscape alone.  budget < 1
+    raises ValueError at n >= 3.
 
     which is "total", a Morse index, or "max" (index n - 1); index-resolved
     counts exclude degenerate points, whose per-trial mean rides along in
     extras together with the completeness flag (guaranteed only on the
-    circle) and the number of ill-conditioned circle roots.
+    circle), the number of ill-conditioned circle roots, and the number of
+    landscapes whose found points break the Morse relation
+    sum (-1)^index = 1 + (-1)^(n-1) (the Euler characteristic of the
+    sphere) or include a degenerate point; that sum takes every found point,
+    whatever the windows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -356,13 +485,15 @@ def count_expected(
         which = n - 1
     elif isinstance(which, str) and which != "total":
         raise ValueError(f'which must be "total", "max" or a Morse index, got {which!r}')
+    euler = 1 + (-1) ** (n - 1)
     counts = np.empty(trials)
     degenerate_counts = np.empty(trials)
     ill_conditioned = 0
-    for t in range(trials):
-        poly = build_polynomial(params, n, (seed, t))
-        pts = find_critical_points(poly, tol=tol, budget=budget)
+    euler_mismatch = 0
+    for t, pts in enumerate(_landscapes(params, n, trials, seed, tol, budget)):
         ill_conditioned += sum(pt.ill_conditioned for pt in pts)
+        if any(pt.degenerate for pt in pts) or sum((-1) ** pt.index for pt in pts) != euler:
+            euler_mismatch += 1
         c = 0
         dc = 0
         for pt in pts:
@@ -388,6 +519,7 @@ def count_expected(
         "complete": n == 2,
         "mean_degenerate": float(np.mean(degenerate_counts)),
         "ill_conditioned_roots": ill_conditioned,
+        "euler_mismatch_landscapes": euler_mismatch,
     }
     return MCEstimate(float(np.mean(counts)), se, trials, seed, extras)
 
@@ -415,9 +547,6 @@ def c_constant(n: int, r: int, p: int) -> float:
 # before the refinement check gives up: 512 per axis at r = 1, 64 at r = 2.
 _FIRST_NODES = 16
 _MAX_TENSOR_NODES = 1 << 18
-# Doubles per array pass over (draws, value nodes, eigenvalues); passes this
-# small keep numpy's temporaries out of fresh page-faulting allocations.
-_CHUNK = 1 << 14
 
 
 class QuadratureError(ArithmeticError):

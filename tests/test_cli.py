@@ -129,6 +129,30 @@ def test_zeros_json(tmp_path):
     assert math.isclose(doc["solutions"][1][0], 0.9779751861, abs_tol=1e-8)
 
 
+def test_tiny_spike_zeros_empty(tmp_path):
+    # the slope scan at lam = 1e-120 overflows m^k; far below lambda_critical
+    # there is no zero locus
+    out = tmp_path / "z.json"
+    assert run_cli(["zeros", "--p", "3", "--r", "1", "--lam", "1e-120", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["solutions"] == []
+
+
+def test_tiny_spike_classify_eta_infinite(tmp_path):
+    # eta sums lam^(-2/(k-2)), which overflows to +inf at lam = 1e-300
+    out = tmp_path / "c.json"
+    rc = run_cli(["classify", "--p", "3", "--r", "1", "--lam", "1e-300", "--m", "0.5",
+                  "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["aux"]["eta"] == "+inf"
+    assert doc["label"] == "POSITIVE"
+
+
+def test_huge_spike_classify_exit_code():
+    # tau^2 overflows at lam = 1e300 and sigma_tot comes out NaN
+    assert run_cli(["classify", "--p", "3", "--r", "1", "--lam", "1e300", "--m", "0.5"]) == 2
+
+
 def test_experiment_requires_seed(capsys):
     rc = run_cli(["experiment", "--experiment", "mc-det", "--n", "10",
                   "--trials", "5"])
@@ -242,6 +266,17 @@ def test_kacrice_count_which_max(tmp_path):
 def test_kacrice_count_bad_which_exit_code(tmp_path):
     rc, _ = _kacrice(tmp_path, "kacrice-count", "--trials", "5", "--which", "min")
     assert rc == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_kacrice_count_bad_budget_exit_code(tmp_path, budget):
+    # no smooth function on the sphere has zero critical points
+    out = tmp_path / "count.json"
+    rc = run_cli(["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1",
+                  "--lam", "0.0", "--n", "3", "--trials", "2", f"--budget={budget}",
+                  "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):

@@ -326,3 +326,165 @@ def test_count_which_max_is_top_index():
 def test_count_which_rejects_unknown_label():
     with pytest.raises(ValueError):
         count_expected(P0, 2, 5, seed=1, which="min")
+
+
+# ---------------------------------------------------------------------------
+# the lockstep multistart against the per-start Newton it replaced
+
+def _oracle_tangent(poly, sigma):
+    """Projected gradient, tangent Hessian and tangent basis at one point."""
+    p = poly.params.p
+    axes = "abcdefgh"[:p]
+    g = p * np.einsum(axes + "," + ",".join(axes[1:]) + "->a", poly.tensor, *([sigma] * (p - 1)))
+    h = p * (p - 1) * np.einsum(axes + "," + ",".join(axes[2:]) + "->ab", poly.tensor, *([sigma] * (p - 2)))
+    for i, (lam_i, k_i) in enumerate(zip(poly.params.lam, poly.params.k)):
+        g[i] += lam_i * k_i * sigma[i] ** (k_i - 1)
+        h[i, i] += lam_i * k_i * (k_i - 1) * sigma[i] ** (k_i - 2)
+    radial = float(np.dot(sigma, g))
+    n = len(sigma)
+    b = np.linalg.qr(np.column_stack([sigma, np.eye(n)]))[0][:, 1:n]
+    return g - radial * sigma, b.T @ h @ b - radial * np.eye(n - 1), b
+
+
+def _oracle_newton(poly, sigma, tol):
+    """Riemannian Newton from one start, one start at a time."""
+    for _ in range(80):
+        g_tan, h_tan, b = _oracle_tangent(poly, sigma)
+        res = float(np.linalg.norm(g_tan))
+        if res <= tol:
+            return sigma, res
+        rhs = b.T @ g_tan
+        try:
+            delta = np.linalg.solve(h_tan, -rhs)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.lstsq(h_tan, -rhs, rcond=None)[0]
+        norm = float(np.linalg.norm(delta))
+        if norm > 1.0:
+            delta *= 1.0 / norm
+        step = 1.0
+        for _ in range(25):
+            cand = sigma + step * (b @ delta)
+            cand /= np.linalg.norm(cand)
+            if np.linalg.norm(_oracle_tangent(poly, cand)[0]) < res:
+                sigma = cand
+                break
+            step *= 0.5
+        else:
+            cand = sigma - 0.1 * g_tan / max(res, 1e-12)
+            sigma = cand / np.linalg.norm(cand)
+    return sigma, float(np.linalg.norm(_oracle_tangent(poly, sigma)[0]))
+
+
+def _oracle_starts(poly, budget):
+    rng = np.random.default_rng(poly.seed + (10_007,))
+    return [v / np.linalg.norm(v) for v in (rng.normal(size=poly.n) for _ in range(budget))]
+
+
+def _oracle_search(poly, budget, tol=1e-10):
+    """The converged points of the per-start multistart, merged in start order."""
+    found = []
+    for start in _oracle_starts(poly, budget):
+        sigma, res = _oracle_newton(poly, start, tol)
+        if res <= tol and all(
+            math.acos(float(np.clip(np.dot(prev, sigma), -1.0, 1.0))) >= 1e-6 for prev in found
+        ):
+            found.append(sigma)
+    return found
+
+
+def _assert_same_points(points, want):
+    assert len(points) == len(want)
+    for pt in points:
+        assert min(np.max(np.abs(np.subtract(pt.position, w))) for w in want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_lockstep_multistart_matches_per_start_oracle(n, lam):
+    from pspinlab.kacrice import _landscapes
+
+    params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
+    seed, trials, budget = 60 + n, 8, 12
+    stacked = list(_landscapes(params, n, trials, seed, 1e-10, budget))
+    assert len(stacked) == trials
+    for t, points in enumerate(stacked):
+        _assert_same_points(points, _oracle_search(build_polynomial(params, n, (seed, t)), budget))
+
+
+def test_lockstep_multistart_mixed_degrees():
+    from pspinlab.kacrice import _landscapes
+
+    params = ModelParams(p=3, r=2, k=(3, 4), lam=(1.0, 0.5))
+    for t, points in enumerate(_landscapes(params, 3, 6, 70, 1e-10, 12)):
+        _assert_same_points(points, _oracle_search(build_polynomial(params, 3, (70, t)), 12))
+
+
+def test_lockstep_newton_singular_hessian():
+    # f = 0 everywhere: every Hessian is the zero matrix, so each row takes
+    # the least-squares step (zero) and then the gradient fallback; with a
+    # negative tolerance no row ever stops early
+    from pspinlab.kacrice import SpikedPolynomial, _multistart, _newton
+
+    poly = SpikedPolynomial(P0, 3, (71, 0), np.zeros((3, 3, 3)))
+    starts = np.array(_oracle_starts(poly, 3))
+    sigma, res = _newton([poly], np.zeros(3, dtype=int), starts, -1.0)
+    for row, r, start in zip(sigma, res, starts):
+        want, want_res = _oracle_newton(poly, start, -1.0)
+        assert np.max(np.abs(row - want)) <= 1e-12
+        assert r == want_res == 0.0
+    assert _multistart([poly], -1.0, 3) == [[]]
+
+
+def test_lockstep_solve_falls_back_per_row():
+    from pspinlab.kacrice import _solve
+
+    h = np.stack([np.eye(2), np.zeros((2, 2)), np.array([[2.0, 1.0], [1.0, 3.0]])])
+    rhs = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    x = _solve(h, rhs)
+    assert np.array_equal(x[0], np.linalg.solve(h[0], rhs[0]))
+    assert np.array_equal(x[1], np.linalg.lstsq(h[1], rhs[1], rcond=None)[0])
+    assert np.array_equal(x[2], np.linalg.solve(h[2], rhs[2]))
+
+
+def test_find_critical_points_matches_count_stack():
+    # one landscape searched alone against the same landscape searched in a
+    # stack of many, which count_expected splits over several passes
+    from pspinlab.kacrice import _landscapes, _pass_rows
+
+    trials, budget = 12, 40
+    assert trials * budget > _pass_rows(3)
+    stacked = list(_landscapes(P1, 3, trials, 72, 1e-10, budget))
+    alone = find_critical_points(build_polynomial(P1, 3, (72, 9)), budget=budget)
+    assert [pt.index for pt in alone] == [pt.index for pt in stacked[9]]
+    _assert_same_points(alone, [np.asarray(pt.position) for pt in stacked[9]])
+
+
+def test_multistart_pass_size_keeps_points(monkeypatch):
+    from pspinlab import kacrice
+
+    poly = build_polynomial(P1, 3, (74, 0))
+    whole = find_critical_points(poly, budget=30)
+    monkeypatch.setattr(kacrice, "_CHUNK", 7 * 25 * 3)
+    assert kacrice._pass_rows(3) == 7
+    split = find_critical_points(poly, budget=30)
+    assert [pt.index for pt in split] == [pt.index for pt in whole]
+    _assert_same_points(split, [np.asarray(pt.position) for pt in whole])
+
+
+def test_count_rejects_empty_budget():
+    for budget in (0, -3):
+        with pytest.raises(ValueError):
+            count_expected(P0, 3, 2, seed=1, budget=budget)
+        with pytest.raises(ValueError):
+            find_critical_points(build_polynomial(P0, 3, (1, 0)), budget=budget)
+
+
+def test_euler_mismatch_counts_incomplete_landscapes():
+    # on the circle the count is complete: maxima and minima alternate, so
+    # the Morse sum is chi(S^1) = 0 on every landscape
+    complete = count_expected(P1, 2, 200, seed=73)
+    assert complete.extras["euler_mismatch_landscapes"] == 0
+    # one start finds at most one point, whose Morse sign +-1 is never
+    # chi(S^2) = 2
+    sparse = count_expected(P0, 3, 10, seed=73, budget=1)
+    assert sparse.extras["euler_mismatch_landscapes"] == 10
