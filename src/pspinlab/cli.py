@@ -28,6 +28,7 @@ from .core import (
     classify_regime,
     eta_critical,
     lambda_critical,
+    phi_star,
     sigma_tot_projected,
     tau_critical,
     zero_locus_solve,
@@ -188,18 +189,6 @@ def _convert(name: str, conv, raw):
         raise UsageError(f"bad value for --{name.replace('_', '-')}: {exc}")
 
 
-def _conv_int(v) -> int:
-    return int(v)
-
-
-def _conv_float(v) -> float:
-    return float(v)
-
-
-def _conv_str(v) -> str:
-    return str(v)
-
-
 def _conv_floats(v) -> tuple[float, ...]:
     v = str(v).strip()
     if not v:
@@ -254,8 +243,8 @@ def _conv_window(v) -> tuple[float, float]:
 
 
 def _model_params(res: Resolver) -> ModelParams:
-    p = res.get("p", _conv_int, required=True)
-    r = res.get("r", _conv_int, required=True)
+    p = res.get("p", int, required=True)
+    r = res.get("r", int, required=True)
     k = res.get("k", _conv_ints)
     lam = res.get("lam", _conv_floats, required=True)
     if k is None:
@@ -296,7 +285,7 @@ def _sidecar(params: ModelParams, extra: dict) -> dict:
 
 def cmd_grid(res: Resolver) -> int:
     params = _model_params(res)
-    quantity = res.get("quantity", _conv_str, required=True)
+    quantity = res.get("quantity", str, required=True)
     if quantity not in GRID_QUANTITIES:
         raise UsageError(f"quantity must be one of {GRID_QUANTITIES}")
     axes = res.get_list("axis", _conv_axis)
@@ -312,7 +301,7 @@ def cmd_grid(res: Resolver) -> int:
         )
     if not 1 <= len(swept) <= 2:
         raise UsageError("full grids sweep 1 or 2 coordinates; use --fix for the rest")
-    out = res.get("out", _conv_str)
+    out = res.get("out", str)
 
     ticks = [_ticks(*a) for a in axes]
     pts = np.zeros((math.prod(len(t) for t in ticks), params.r))
@@ -325,7 +314,7 @@ def cmd_grid(res: Resolver) -> int:
     if quantity == "sigma_tot":
         values = sigma_tot_projected(params, pts)
     elif quantity == "sigma_max":
-        values = [sigma_max_projected(params, m) for m in pts.tolist()]
+        values = sigma_max_projected(params, pts)
     elif quantity == "regime":
         values = sigma_tot_projected(params, pts)
         codes = classify_regime(params, pts).tolist()
@@ -366,7 +355,7 @@ def cmd_grid(res: Resolver) -> int:
 def cmd_classify(res: Resolver) -> int:
     params = _model_params(res)
     m = res.get("m", _conv_floats, required=True)
-    tol = res.get("tol", _conv_float, default=1e-6)
+    tol = res.get("tol", float, default=1e-6)
     label = classify_regime(params, m, tol=tol)
     aux = aux_statistics(params, m)
     value = sigma_tot_projected(params, m)
@@ -386,7 +375,7 @@ def cmd_classify(res: Resolver) -> int:
             "eta_c": aux.eta_c,
         },
     }
-    _write_text(res.get("out", _conv_str), to_json(doc) + "\n")
+    _write_text(res.get("out", str), to_json(doc) + "\n")
     return 0
 
 
@@ -399,7 +388,7 @@ def cmd_zeros(res: Resolver) -> int:
         "solutions": [list(s) for s in sols],
         "sigma_tot": [sigma_tot_projected(params, s) for s in sols],
     }
-    _write_text(res.get("out", _conv_str), to_json(doc) + "\n")
+    _write_text(res.get("out", str), to_json(doc) + "\n")
     return 0
 
 
@@ -409,7 +398,7 @@ def cmd_rate(res: Resolver) -> int:
     if gam != tuple(gamma):
         raise UsageError("gamma must be sorted in non-increasing order")
     ts: list[float] = []
-    singles = res.get_list("t", _conv_float)
+    singles = res.get_list("t", float)
     if singles:
         ts.extend(singles)
     rng = res.get("t_range", _conv_range)
@@ -429,36 +418,34 @@ def cmd_rate(res: Resolver) -> int:
                 ]
             )
         )
-    _write_text(res.get("out", _conv_str), "\n".join(rows) + "\n")
+    _write_text(res.get("out", str), "\n".join(rows) + "\n")
     return 0
 
 
 def cmd_experiment(res: Resolver) -> int:
-    name = res.get("experiment", _conv_str, required=True)
+    name = res.get("experiment", str, required=True)
     if name not in EXPERIMENTS:
         raise UsageError(f"experiment must be one of {EXPERIMENTS}")
-    seed = res.get("seed", _conv_int, required=True)
+    seed = res.get("seed", int, required=True)
     started = time.perf_counter()
     inputs: dict = {"seed": seed}
     theory = None
     extras: dict = {}
 
     if name in ("mc-det", "mc-lmax", "mc-restricted", "esd"):
-        n = res.get("n", _conv_int, required=True)
+        n = res.get("n", int, required=True)
         gamma = res.get("gamma", _conv_floats, default=())
-        shift = res.get("shift", _conv_float, default=0.0)
+        shift = res.get("shift", float, default=0.0)
         spec = GOESpec(n=n, gamma=gamma, shift=shift, seed=seed)
         inputs.update({"n": n, "gamma": list(gamma), "shift": shift})
         gam_desc = tuple(sorted(gamma, reverse=True))
-        from .core import phi_star
-
         if name == "esd":
             dists = esd_distance(spec)
             estimate, std_error, trials = dists["w1"], None, 1
             extras["d_bl"] = dists["d_bl"]
             theory = 0.0
         else:
-            trials = res.get("trials", _conv_int, required=True)
+            trials = res.get("trials", int, required=True)
             if name == "mc-det":
                 est = mc_log_abs_det(spec, trials)
                 theory = phi_star(shift)
@@ -466,7 +453,7 @@ def cmd_experiment(res: Resolver) -> int:
                 est = mc_restricted_det(spec, trials)
                 theory = phi_star(shift) - big_l(gam_desc, shift)
             else:
-                t = res.get("t", _conv_float, required=True)
+                t = res.get("t", float, required=True)
                 inputs["t"] = t
                 est = mc_lambda_max_tail(spec, trials, t)
                 theory = -big_l(gam_desc, t) if shift == 0.0 else None
@@ -474,20 +461,20 @@ def cmd_experiment(res: Resolver) -> int:
             extras.update(est.extras)
         inputs["trials"] = trials
     elif name == "spherical":
-        n = res.get("n", _conv_int, required=True)
+        n = res.get("n", int, required=True)
         gamma = res.get("gamma", _conv_floats, required=True)
         diag = res.get("diag", _conv_floats, required=True)
-        trials = res.get("trials", _conv_int, required=True)
+        trials = res.get("trials", int, required=True)
         est = spherical_integral_mc(n, gamma, diag, trials, seed=seed)
         estimate, std_error = est.value, est.std_error
         extras.update(est.extras)
         inputs.update({"n": n, "gamma": list(gamma), "diag": list(diag), "trials": trials})
     else:
         params = _model_params(res)
-        n = res.get("n", _conv_int, required=True)
+        n = res.get("n", int, required=True)
         overlap_windows = res.get_list("overlap_window", _conv_window)
         value_window = res.get("value_window", _conv_window)
-        which_raw = res.get("which", _conv_str, default="total")
+        which_raw = res.get("which", str, default="total")
         try:
             which = int(which_raw)
         except ValueError:
@@ -507,8 +494,8 @@ def cmd_experiment(res: Resolver) -> int:
             }
         )
         if name == "kacrice-count":
-            trials = res.get("trials", _conv_int, required=True)
-            budget = res.get("budget", _conv_int, default=200)
+            trials = res.get("trials", int, required=True)
+            budget = res.get("budget", int, default=200)
             try:
                 est = count_expected(
                     params,
@@ -526,8 +513,8 @@ def cmd_experiment(res: Resolver) -> int:
                 raise UsageError(str(exc))
             inputs.update({"trials": trials, "budget": budget})
         else:
-            inner = res.get("inner_trials", _conv_int, default=2048)
-            batches = res.get("batches", _conv_int, default=8)
+            inner = res.get("inner_trials", int, default=2048)
+            batches = res.get("batches", int, default=8)
             if which not in ("total", "max"):
                 raise UsageError("kacrice-formula supports which in {total, max}")
             try:
@@ -563,7 +550,7 @@ def cmd_experiment(res: Resolver) -> int:
         "discrepancy": (estimate - theory) if theory is not None else None,
         "extras": extras,
     }
-    _write_text(res.get("out", _conv_str), to_json(doc) + "\n")
+    _write_text(res.get("out", str), to_json(doc) + "\n")
     return 0
 
 

@@ -12,13 +12,13 @@ Conventions used throughout the package:
     natural domain 0 < alpha < 1 (off-domain exponents are -inf);
     GOE matrices are normalized so the bulk spectrum converges to [-2, 2].
 
-Broadcasting: sigma_tot_projected, aux_statistics and classify_regime (and
-the perturbation spectrum in spikes) take one overlap point of shape (r,) and
-return Python scalars, or a stack of shape (N, r) and return arrays over its
-N points; the one-point call is the stack call on one row.  s_func, y_shift,
-t_func and sigma_tot_joint take one point, with x a float or an array.
-Powers, logarithms and asinh go through the C library one float at a time
-(_libm), so a stack gives the same bits as its points one by one.
+Broadcasting: every function of an overlap point takes one point of shape
+(r,) and returns scalars, or a stack of shape (N, r) and returns arrays over
+its N points, through one body.  s_func, y_shift, t_func and sigma_tot_joint
+also take a value x: a float or any array for one point, for a stack an
+array whose leading axis runs over its points.  edge_area and phi_star take
+floats or arrays.  Powers, logarithms and asinh go through the C library one
+float at a time (_libm), so a stack has the bits of its points one by one.
 """
 from __future__ import annotations
 
@@ -131,19 +131,37 @@ def lambda_critical(p: int) -> float:
     return math.sqrt((p - 1) ** (p - 1) / ((p - 2) ** (p - 2) * 2 * p))
 
 
-def edge_area(x: float) -> float:
+def _scalar(values):
+    """A Python float for a scalar result, else the array."""
+    return values if getattr(values, "ndim", 0) else float(values)
+
+
+def _any(cond) -> bool:
+    """Whether cond holds anywhere, for a bool or a boolean array."""
+    return bool(cond.any() if getattr(cond, "ndim", 0) else cond)
+
+
+def _select(cond, a, b):
+    """np.where(cond, a, b), as plain Python on three scalars, so that a
+    one-point call pays no array overhead."""
+    if getattr(cond, "ndim", 0) or getattr(a, "ndim", 0) or getattr(b, "ndim", 0):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def edge_area(x: float | np.ndarray) -> float | np.ndarray:
     """Integral of sqrt(y^2 - 4) from 2 to x, for x >= 2.
 
     This is the area that controls the exponential cost of pulling one
     eigenvalue out of the bulk to position x.
     """
-    if x < 2:
+    if _any(x < 2):
         raise ValueError(f"edge_area needs x >= 2, got {x}")
-    s = math.sqrt(x * x - 4)
-    return 0.5 * x * s - 2 * math.log(0.5 * (x + s))
+    s = np.sqrt(x * x - 4)
+    return _scalar(0.5 * x * s - 2 * _libm(math.log, 0.5 * (x + s)))
 
 
-def phi_star(x: float) -> float:
+def phi_star(x: float | np.ndarray) -> float | np.ndarray:
     """Limiting (1/N) log E|det(W - x)| for a bulk-normalized GOE matrix W.
 
     Equals the semicircle log-potential integral log|y - x| rho_sc(dy): inside
@@ -151,19 +169,20 @@ def phi_star(x: float) -> float:
     """
     v = 0.25 * x * x - 0.5
     ax = abs(x)
-    if ax > 2:
-        v -= 0.5 * edge_area(ax)
-    return v
+    out = ax > 2
+    return _scalar(_select(out, v - 0.5 * edge_area(_select(out, ax, 2.0)), v))
 
 
-def _libm(fn, x, *args) -> np.ndarray:
+def _libm(fn, x, *args):
     """fn(x_i, *args) for every entry x_i of the array x, through Python floats.
 
     numpy's SIMD pow, log, log1p and asinh differ from the C library in the
     last ulps on some inputs, while sqrt and plain arithmetic agree; routing
     those four through here keeps every array result bit-equal to the same
-    formula evaluated on one Python float at a time.
+    formula evaluated on one Python float at a time; a scalar x gives a float.
     """
+    if not getattr(x, "ndim", 0):
+        return _saturating(fn, float(x), *args)
     x = np.asarray(x, dtype=float)
     columns = [itertools.repeat(a) for a in args]
     try:
@@ -231,55 +250,61 @@ def _profile_parts(params: ModelParams, m: Sequence[float] | np.ndarray):
     return tuple(float(v[0]) for v in parts) if single else parts
 
 
-def s_func(params: ModelParams, m: Sequence[float], x: float) -> float:
+def _along(x, *values) -> tuple:
+    """Per-point values, arrays (N,) for a stack, shaped to broadcast against
+    x, whose leading axis runs over the N points."""
+    extra = (1,) * (getattr(x, "ndim", 0) - 1)
+    if not extra:
+        return values
+    return tuple(v.reshape(v.shape + extra) if getattr(v, "ndim", 0) == 1 else v for v in values)
+
+
+def _joint(params: ModelParams, m: Sequence[float] | np.ndarray, x, total: bool = True):
+    """s_func at (m, x), and with total also sigma_tot_joint, t_func and
+    whether 0 < alpha < 1 (a bool for one point, an array (N,) for a stack),
+    from one pass over the profile sums."""
+    parts = _profile_parts(params, m)
+    inside = (0.0 < parts[0]) & (parts[0] < 1.0)
+    alpha, diag_sum, cross_sum, tau, center, shift, within = _along(x, *parts, inside)
+    p = params.p
+    base = (
+        0.5 * (math.log(p - 1) + 1)
+        + 0.5 * _libm(math.log1p, -_select(within, alpha, 0.0))
+        - diag_sum
+        + cross_sum
+    )
+    d = x - center
+    s = _select(within, base - d * d, NEG_INF)
+    if not total:
+        return s
+    y = x - shift
+    e, t = y - tau, math.sqrt(2 * p / (p - 1)) * y
+    return s, _select(within, base - e * e + phi_star(t), NEG_INF), t, inside
+
+
+def s_func(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
     """Density exponent of critical points at overlap m and value x, before
     the Hessian-determinant contribution.  -inf when alpha(m) is not in (0, 1).
     """
-    alpha, diag_sum, cross_sum, _, center, _ = _profile_parts(params, m)
-    if not 0.0 < alpha < 1.0:
-        return NEG_INF
-    d = x - center
-    return (
-        0.5 * (math.log(params.p - 1) + 1)
-        + 0.5 * math.log1p(-alpha)
-        - diag_sum
-        + cross_sum
-        - d * d
-    )
+    return _scalar(_joint(params, m, x, total=False))
 
 
-def y_shift(params: ModelParams, m: Sequence[float], x: float) -> float:
+def y_shift(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
     """Recentered value coordinate: x minus the deterministic part not seen by
     the gradient trace."""
-    _, _, _, _, _, shift = _profile_parts(params, m)
-    return x - shift
+    return _scalar(x - _along(x, _profile_parts(params, m)[5])[0])
 
 
-def t_func(params: ModelParams, m: Sequence[float], x: float) -> float:
+def t_func(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
     """Hessian shift coordinate: the recentered value scaled to the GOE edge units."""
-    p = params.p
-    return math.sqrt(2 * p / (p - 1)) * y_shift(params, m, x)
+    return math.sqrt(2 * params.p / (params.p - 1)) * y_shift(params, m, x)
 
 
-def sigma_tot_joint(params: ModelParams, m: Sequence[float], x: float) -> float:
+def sigma_tot_joint(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
     """Exponential growth rate of the expected number of critical points with
     overlap profile m and value near x.  -inf off-domain.
     """
-    alpha, diag_sum, cross_sum, tau, _, shift = _profile_parts(params, m)
-    if not 0.0 < alpha < 1.0:
-        return NEG_INF
-    p = params.p
-    y = x - shift
-    t = math.sqrt(2 * p / (p - 1)) * y
-    d = y - tau
-    return (
-        0.5 * (math.log(p - 1) + 1)
-        + 0.5 * math.log1p(-alpha)
-        - diag_sum
-        + cross_sum
-        - d * d
-        + phi_star(t)
-    )
+    return _scalar(_joint(params, m, x)[1])
 
 
 def _unwrap(values: np.ndarray, single: bool):
@@ -408,7 +433,8 @@ def _pattern_residual(params: ModelParams, pattern: tuple[int, ...], delta):
     """Overlap vector and zero-condition residual for a common slope delta.
 
     Coordinates in the pattern carry m_i = (p delta / (k_i lam_i))^{1/(k_i-2)},
-    the unique profile satisfying condition (a); the residual is condition (b).
+    the unique profile satisfying condition (a); there tau = delta alpha, so
+    the residual of condition (b) is sqrt(2p) delta sqrt(1 - alpha) - 1.
     Returns (m, alpha, residual) with residual NaN when alpha >= 1: a list and
     two floats for one slope, arrays (N, r), (N,) and (N,) for N slopes.
     """
@@ -417,16 +443,15 @@ def _pattern_residual(params: ModelParams, pattern: tuple[int, ...], delta):
     deltas = deltas.reshape(-1)
     p = params.p
     m = np.zeros((len(deltas), params.r))
-    alpha = tau = np.zeros(len(deltas))
+    alpha = np.zeros(len(deltas))
     # slopes far past alpha = 1 overflow to inf, which the NaN residual covers
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in pattern:
             k_i, lam_i = params.k[i], params.lam[i]
             m_i = _libm(pow, p * deltas / (k_i * lam_i), 1.0 / (k_i - 2))
             m[:, i] = m_i
             alpha = alpha + m_i * m_i
-            tau = tau + lam_i * k_i * _libm(pow, m_i, k_i) / p
-        resid = math.sqrt(0.5 * p) * tau - 0.5 * alpha / np.sqrt(1 - alpha)
+        resid = math.sqrt(2 * p) * deltas * np.sqrt(1 - alpha) - 1
     resid = np.where(alpha >= 1.0, math.nan, resid)
     if single:
         return m[0].tolist(), float(alpha[0]), float(resid[0])
@@ -440,12 +465,13 @@ def zero_locus_solve(
 
     pattern lists the coordinates allowed to be nonzero (default: all of them).
     Coordinates off the pattern are pinned to zero.  Solutions are found by a
-    dense scan in the common slope followed by bisection to 1e-12; the list is
-    ordered by increasing slope (hence increasing overlaps) and may be empty.
+    dense scan in the common slope followed by bisection to a relative width
+    of 1e-15; the list is ordered by increasing slope (hence increasing
+    overlaps) and may be empty.
 
-    On a one-coordinate pattern the residual has the sign of
-    C m^{k-2} sqrt(1 - m^2) - 1 with C = lam k sqrt(2/p): negative below the
-    slope 1/sqrt(2p) and near alpha = 1, with one peak at m^2 = (k-2)/(k-1).
+    On a one-coordinate pattern the residual is C m^{k-2} sqrt(1 - m^2) - 1
+    with C = lam k sqrt(2/p): negative below the slope 1/sqrt(2p) and near
+    alpha = 1, with one peak at m^2 = (k-2)/(k-1).
     The scan then also takes the peak, a point below 1/sqrt(2p) and the upper
     end of the slope range, so each monotone side holds exactly one sign
     change when the peak residual is positive, and the root count (0, one
@@ -465,8 +491,6 @@ def zero_locus_solve(
     lo, hi = 0.0, 1.0
     while _pattern_residual(params, pattern, hi)[1] < 1.0:
         hi *= 2.0
-        if hi > 1e12:
-            break
     # bisect until the bracket stops moving; a weak spike puts delta_max many
     # binades below 1, and the float range bounds the number of halvings
     for _ in range(2200):
@@ -492,25 +516,26 @@ def zero_locus_solve(
         deltas = np.unique(np.concatenate([deltas, extra]))
     resids = _pattern_residual(params, pattern, deltas)[2]
 
-    r0, r1 = resids[:-1], resids[1:]
-    hits = np.flatnonzero(~np.isnan(r0) & ~np.isnan(r1) & ((r0 == 0.0) | (r0 * r1 < 0.0)))
+    # compare signs, not products, which underflow to 0
+    r0, r1 = np.sign(resids[:-1]), np.sign(resids[1:])
+    hits = np.flatnonzero(~np.isnan(r1) & ((r0 == 0.0) | (r0 * r1 < 0.0)))
     roots: list[float] = []
     for j in hits.tolist():
         if resids[j] == 0.0:
             roots.append(float(deltas[j]))
             continue
         a, b = float(deltas[j]), float(deltas[j + 1])
-        fa = float(resids[j])
-        for _ in range(100):
+        negative = resids[j] < 0.0
+        for _ in range(2200):  # the float range bounds the halvings
             c = 0.5 * (a + b)
             fc = _pattern_residual(params, pattern, c)[2]
-            if fc == 0.0 or (b - a) < 1e-15:
+            if fc == 0.0 or b - a < 1e-15 * a:
                 a = b = c
                 break
-            if fa * fc < 0.0:
+            if (fc < 0.0) != negative:
                 b = c
             else:
-                a, fa = c, fc
+                a = c
         roots.append(0.5 * (a + b))
     if resids[-1] == 0.0:
         roots.append(float(deltas[-1]))

@@ -249,20 +249,11 @@ _MODULUS_TOL = 1e-10
 
 
 def _circle_derivative(poly: SpikedPolynomial, phi: np.ndarray) -> np.ndarray:
-    """d/dphi of the landscape along the unit circle, vectorized."""
-    sig = np.vstack([np.cos(phi), np.sin(phi)])
-    tan = np.vstack([-np.sin(phi), np.cos(phi)])
-    p = poly.params.p
-    sub = (
-        _LETTERS[:p]
-        + ","
-        + ",".join(_LETTERS[i] + "z" for i in range(1, p))
-        + f"->{_LETTERS[0]}z"
-    )
-    g = p * np.einsum(sub, poly.tensor, *([sig] * (p - 1)), optimize=True)
-    for i, (lam_i, k_i) in enumerate(zip(poly.params.lam, poly.params.k)):
-        g[i] += lam_i * k_i * sig[i] ** (k_i - 1)
-    return np.sum(g * tan, axis=0)
+    """d/dphi of the landscape along the unit circle: the gradient at
+    (cos phi, sin phi) dotted with the tangent (-sin phi, cos phi)."""
+    sigma = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    tangent = np.stack([-sigma[:, 1], sigma[:, 0]], axis=1)
+    return _dot(_grad([poly], np.zeros(len(phi), dtype=int), sigma), tangent)
 
 
 def _circle_roots(poly: SpikedPolynomial) -> tuple[np.ndarray, np.ndarray]:

@@ -5,21 +5,29 @@ All rates are at speed N with the bulk spectrum normalized to [-2, 2].  A
 spike of size gamma detaches an eigenvalue at gamma + 1/gamma once gamma > 1;
 below that it is invisible at this scale.  Every function here is closed form:
 sigma_max_projected maximizes piece by piece through the roots of a
-quadratic, with no numerical search.  Quadrature and scalar searches appear
-only in the test oracles.
+quadratic, with no numerical search, over a whole stack of overlap points in
+one pass.  i_gamma, big_l and sigma_max_joint broadcast as in core.
+Quadrature and scalar searches appear only in the test oracles.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     ModelParams,
+    _along,
+    _any,
+    _joint,
+    _points,
     _profile_parts,
+    _scalar,
+    _select,
+    _unwrap,
     edge_area,
     phi_star,
-    sigma_tot_joint,
-    t_func,
 )
 from .spikes import spike_eigenvalues
 
@@ -65,22 +73,24 @@ def j_coupling(gamma: float, x: float) -> float:
     return 0.5 * gamma * gamma
 
 
-def i_gamma(gamma: float, x: float) -> float:
+def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
     """Rate for the top eigenvalue of a GOE matrix with one supercritical
     spike (gamma >= 1) to sit at x.  Zero exactly at the typical location
     gamma + 1/gamma; the smooth continuation below it is what enters i_max.
-    +inf below the bulk edge.
+    +inf below the bulk edge.  gamma and x are floats or arrays that
+    broadcast together.
     """
-    if gamma < 1:
+    if _any(gamma < 1):
         raise ValueError(f"i_gamma requires gamma >= 1, got {gamma}")
-    if x < 2:
-        return INF
+    bulk = x < 2
+    x = _select(bulk, 2.0, x)
     e = gamma + 1.0 / gamma
-    return (
+    value = (
         0.25 * (edge_area(x) - edge_area(e))
         - 0.5 * gamma * (x - e)
         + 0.125 * (x * x - e * e)
     )
+    return _scalar(_select(bulk, INF, value))
 
 
 def _split_spikes(gamma: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -126,21 +136,26 @@ def i_max(gamma: Sequence[float], x: float) -> float:
     return 0.5 * edge_area(x)
 
 
-def big_l(gamma: Sequence[float], t: float) -> float:
+def big_l(gamma: Sequence[float] | np.ndarray, t) -> float | np.ndarray:
     """Rate for the largest eigenvalue to fall at or below t.
 
     Only supercritical spikes whose typical location exceeds t have to be
     pushed down, and their costs add.  +inf below the bulk edge, including
-    when no spike is supercritical.
+    when no spike is supercritical.  gamma is one spectrum (r,) with t a
+    float or an array, or a stack (N, r) with t an array whose leading axis
+    runs over its rows; each spectrum must be non-increasing.
     """
-    sup, _ = _split_spikes(gamma)
-    if t < 2:
-        return INF
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma[..., :-1] < gamma[..., 1:]).any():
+        raise ValueError(f"gamma must be sorted in non-increasing order, got {gamma}")
     total = 0.0
-    for g in sup:
-        if g + 1.0 / g > t:
-            total += i_gamma(g, t)
-    return total
+    for g in gamma.T:  # one spike at a time, over every spectrum
+        # a subcritical spike counts as gamma = 1, pushed only below the edge
+        (g,) = _along(t, np.maximum(g, 1.0))
+        pushed = g + 1.0 / g > t
+        if _any(pushed):
+            total = total + _select(pushed, i_gamma(g, t), 0.0)
+    return _scalar(_select(t < 2, INF, total))
 
 
 def big_l_left(gamma: Sequence[float], t: float) -> float:
@@ -154,22 +169,22 @@ def big_l_left(gamma: Sequence[float], t: float) -> float:
     return big_l(gamma, t)
 
 
-def sigma_max_joint(params: ModelParams, m: Sequence[float], x: float) -> float:
+def sigma_max_joint(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
     """Exponential growth rate of the expected number of local maxima with
     overlap profile m and value near x.
 
     Equals the critical-point exponent minus the cost of confining the
     perturbed Hessian spectrum below the shift t(m, x); -inf wherever that
     confinement has infinite cost (t below the bulk edge) or off-domain.
+    m and x broadcast as in sigma_tot_joint.
     """
-    s = sigma_tot_joint(params, m, x)
-    if s == float("-inf"):
-        return s
-    gam = sorted((float(v) for v in spike_eigenvalues(params, m)), reverse=True)
-    return s - big_l(gam, t_func(params, m, x))
+    _, s, t, inside = _joint(params, m, x)
+    # the spectrum is defined where every |m_i| < 1, which 0 < alpha < 1 implies
+    gam = spike_eigenvalues(params, np.where(np.asarray(inside)[..., None], m, 0.0))
+    return _scalar(_select(s == -INF, s, s - big_l(gam, t)))
 
 
-def sigma_max_projected(params: ModelParams, m: Sequence[float]) -> float:
+def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """sup over x of sigma_max_joint(m, x), solved exactly.
 
     In the Hessian shift t = t_func(m, x) = c (x - shift), c = sqrt(2p/(p-1)),
@@ -182,35 +197,41 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float]) -> float:
     Since b > |a| the piece is strictly concave, and its only stationary
     point is the positive root of (b^2 - a^2) t^2 - 2 a d t - (4b^2 + d^2),
     provided a t + d >= 0.  The supremum is therefore sigma_max_joint at a
-    breakpoint or at a stationary point inside its piece.
+    breakpoint or at a stationary point inside its piece.  A float for one
+    point of shape (r,), an array of length N for a stack (N, r), whose rows
+    pad their breakpoints to r + 1 and all take one sigma_max_joint pass.
     """
-    alpha, _, _, tau, _, shift = _profile_parts(params, m)
-    if not 0.0 < alpha < 1.0:
-        return -INF
+    pts, single = _points(params, m)
+    alpha, _, _, tau, _, shift = _profile_parts(params, pts)
+    inside = (0.0 < alpha) & (alpha < 1.0)
+    pts, tau, shift = pts[inside], tau[inside], shift[inside]
     p = params.p
     c = math.sqrt(2 * p / (p - 1))
-    sup = [g for g in (float(v) for v in spike_eigenvalues(params, m)) if g > 1.0]
-    breaks = sorted([2.0] + [g + 1.0 / g for g in sup])
+    gam = spike_eigenvalues(params, pts)
+    sup = gam > 1.0
+    # subcritical spikes pad the breakpoints with +inf, which sorts them last
+    typical = np.where(sup, gam + 1.0 / np.where(sup, gam, 1.0), INF)
+    breaks = np.sort(np.concatenate([np.full((len(pts), 1), 2.0), typical], axis=1), axis=1)
+    ends = np.concatenate([breaks[:, 1:], np.full((len(pts), 1), INF)], axis=1)
 
-    ts = list(breaks)
-    for lo, hi in zip(breaks, breaks[1:] + [INF]):
-        above = [g for g in sup if g + 1.0 / g >= hi]
-        a = 0.5 - (p - 1) / p - 0.25 * len(above)
-        b = 0.5 + 0.25 * len(above)
-        d = 2.0 * tau / c + 0.5 * sum(above)
+    ts = list(np.where(breaks < INF, breaks, math.nan).T)
+    for lo, hi in zip(breaks.T, ends.T):
+        above = sup & (typical >= hi[:, None])
+        count = np.sum(above, axis=1)
+        a, b = 0.5 - (p - 1) / p - 0.25 * count, 0.5 + 0.25 * count
+        # the sum of the spikes above, added in order
+        d = 2.0 * tau / c + 0.5 * np.cumsum(np.where(above, gam, 0.0), axis=1)[:, -1]
         # positive root, in the form free of cancellation when a d < 0
         q = 4.0 * b * b + d * d
-        t = q / (math.sqrt(a * a * d * d + (b * b - a * a) * q) - a * d)
-        if a * t + d >= 0.0 and lo < t < hi:
-            ts.append(t)
-
-    best = -INF
-    for t in ts:
-        x = shift + t / c
-        # rounding may land the edge t = 2 just inside the bulk, where the
-        # objective is -inf; step up to the first x that maps to t >= 2
-        # (c * (x - shift) is t_func(params, m, x))
-        while c * (x - shift) < 2.0:
-            x = math.nextafter(x, INF)
-        best = max(best, sigma_max_joint(params, m, x))
-    return best
+        t = q / (np.sqrt(a * a * d * d + (b * b - a * a) * q) - a * d)
+        ts.append(np.where((a * t + d >= 0.0) & (lo < t) & (t < hi), t, math.nan))
+    x = shift[:, None] + np.stack(ts, axis=1) / c
+    # rounding may land the edge t = 2 just inside the bulk, where the
+    # objective is -inf; step up to the first x that maps to t >= 2
+    # (c * (x - shift) is t_func(params, m, x))
+    while (low := c * (x - shift[:, None]) < 2.0).any():
+        x = np.where(low, np.nextafter(x, INF), x)
+    out = np.full(len(inside), -INF)
+    # fmax skips the NaN of unused candidates
+    out[inside] = np.fmax.reduce(sigma_max_joint(params, pts, x), axis=1, initial=-INF)
+    return _unwrap(out, single)

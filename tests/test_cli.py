@@ -338,7 +338,8 @@ def test_config_unknown_key_exit_code(tmp_path, capsys, line):
 # sha256 of grid CSVs written by the point-by-point evaluator that the array
 # path replaced; every quantity, every regime label, mixed spike degrees, a
 # negative fixed overlap with odd k - 2 (mixed-sign curvature, the eigvals
-# branch), m^2 in the r = 1 curvature and a zero strength
+# branch), m^2 in the r = 1 curvature, a zero strength, and sigma_max at r = 1
+# and at r = 3 with mixed degrees
 _R2 = ("--p", "3", "--r", "2", "--lam", "2.0,1.5", "--axis", "0:1:15", "--axis", "0:1:15")
 GRID_GOLDEN = {
     "sigma_tot": (
@@ -364,6 +365,15 @@ GRID_GOLDEN = {
     "eta": (
         ("--quantity", "eta", *_R2),
         "d73513c466174f3c1e6c927e61c4c4389261e2acc61fe5962336c6820c2c627d",
+    ),
+    "sigma_max-r1": (
+        ("--quantity", "sigma_max", "--p", "3", "--r", "1", "--lam", "2", "--axis", "0:1:50"),
+        "58a797bbf9e4e8c5fbf7fedd6e094cdaeef8ddf396b8ea6ddb8497fcf49b49e8",
+    ),
+    "sigma_max-r3-mixed": (
+        ("--quantity", "sigma_max", "--p", "4", "--r", "3", "--k", "4,3,5", "--lam", "2.5,1.0,0.7",
+         "--fix", "2:0.3", "--axis", "0:0.95:15", "--axis", "0.05:1:15"),
+        "383404af7e03d2e896b787cd6d86f9d252a77a3870678cee4b11b8eb89fd2775",
     ),
     "regime-r3-mixed": (
         ("--quantity", "regime", "--p", "4", "--r", "3", "--k", "4,3,5", "--lam", "2.5,1.0,0.7",

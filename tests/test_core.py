@@ -11,15 +11,19 @@ from pspinlab import (
     RegimeLabel,
     appendix_diagnostics,
     aux_statistics,
+    big_l,
     classify_regime,
     edge_area,
     eta_critical,
     f_ab,
     g_ab,
+    i_gamma,
     lambda_critical,
     perturbation_factors,
     phi_star,
     s_func,
+    sigma_max_joint,
+    sigma_max_projected,
     sigma_tot_joint,
     sigma_tot_projected,
     spike_eigenvalues,
@@ -187,6 +191,15 @@ def test_zero_locus_strong_spike_keeps_both_roots(params, pattern):
         assert all(v == 0.0 for v in sol[1:])
 
 
+@pytest.mark.parametrize("lam", [1e10, 1e80, 1e100, 1e200])
+def test_zero_locus_huge_spike_single_root(lam):
+    # the large root would sit within 1e-20 of m = 1, which rounds to alpha = 1;
+    # the small root solves m lambda sqrt(6) = 1 at p = k = 3
+    sols = zero_locus_solve(ModelParams(p=3, r=1, k=(3,), lam=(lam,)))
+    assert len(sols) == 1
+    assert sols[0][0] * lam * math.sqrt(6) == pytest.approx(1.0, abs=1e-12)
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -231,6 +244,23 @@ def test_stack_matches_single_points(data):
         assert _bits(gram[i]) == _bits(one_gram)
         assert _bits(gammas[i]) == _bits(spike_eigenvalues(params, row))
 
+    xs = np.array(data.draw(st.lists(st.floats(-4.0, 6.0), min_size=len(rows), max_size=len(rows))))
+    joint = {f: f(params, pts, xs) for f in (s_func, y_shift, t_func, sigma_tot_joint, sigma_max_joint)}
+    grid = {f: f(params, pts, xs[:, None] + np.arange(3.0)) for f in joint}
+    smax = sigma_max_projected(params, pts)
+    for i, row in enumerate(rows):
+        assert _bits(smax[i]) == _bits(sigma_max_projected(params, row))
+        for f in joint:
+            assert _bits(joint[f][i]) == _bits(f(params, row, xs[i]))
+            assert _bits(grid[f][i]) == _bits(f(params, row, xs[i] + np.arange(3.0)))
+    ts = xs + 2.0
+    gam = np.sort(np.abs(pts) * 3.0, axis=1)[:, ::-1]
+    rates = big_l(gam, ts), i_gamma(1.0 + gam[:, 0], ts), phi_star(xs), edge_area(2.0 + xs * xs)
+    for i in range(len(rows)):
+        one = (big_l(gam[i], ts[i]), i_gamma(1.0 + gam[i, 0], ts[i]), phi_star(xs[i]),
+               edge_area(2.0 + xs[i] * xs[i]))
+        assert _bits([v[i] for v in rates]) == _bits(one)
+
     pattern = tuple(i for i in range(r) if params.lam[i] > 0.0)
     if pattern:
         deltas = data.draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8))
@@ -247,8 +277,24 @@ def test_single_point_returns_python_scalars():
     assert isinstance(classify_regime(P32, m), RegimeLabel)
     assert type(aux_statistics(P32, m).eta) is float
     assert type(_zero_conditions_hold(P32, m, 1e-6)) is bool
+    for value in (
+        sigma_max_projected(P32, m),
+        sigma_max_joint(P32, m, 0.5),
+        sigma_tot_joint(P32, m, 0.5),
+        s_func(P32, m, 0.5),
+        y_shift(P32, m, 0.5),
+        t_func(P32, m, 0.5),
+        big_l((1.5, 0.5), 2.2),
+        i_gamma(1.5, 2.2),
+        phi_star(3.0),
+        edge_area(3.0),
+    ):
+        assert type(value) is float
     stack = sigma_tot_projected(P32, np.array([m, m]))
     assert stack.shape == (2,)
+    assert sigma_max_projected(P32, np.array([m, m])).shape == (2,)
+    assert sigma_max_joint(P32, np.array([m, m]), np.zeros((2, 5))).shape == (2, 5)
+    assert big_l(np.array([[1.5, 0.5]] * 2), np.full((2, 3), 2.2)).shape == (2, 3)
     with pytest.raises(ValueError):
         sigma_tot_projected(P32, np.zeros((2, 3)))
 
@@ -294,8 +340,8 @@ def test_joint_never_above_projection(p, lam, m, x):
 def test_projection_matches_scan(m, lam):
     params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
     proj = sigma_tot_projected(params, [m])
-    xs = [-8.0 + 16.0 * i / 4000 for i in range(4001)]
-    best = max(sigma_tot_joint(params, [m], x) for x in xs)
+    xs = np.array([-8.0 + 16.0 * i / 4000 for i in range(4001)])
+    best = max(sigma_tot_joint(params, [m], xs))
     assert best <= proj + 1e-9
     assert proj - best < 2e-4
 

@@ -157,7 +157,7 @@ def test_sigma_max_projected_matches_scan():
     for params, points in cases:
         for m in points:
             proj = sigma_max_projected(params, m)
-            best = max(sigma_max_joint(params, m, float(x)) for x in xs)
+            best = max(sigma_max_joint(params, m, xs))
             assert best <= proj + 1e-9
             assert proj - best < 2e-3
 
