@@ -356,9 +356,11 @@ def cmd_classify(res: Resolver) -> int:
     params = _model_params(res)
     m = res.get("m", _conv_floats, required=True)
     tol = res.get("tol", float, default=1e-6)
-    label = classify_regime(params, m, tol=tol)
-    aux = aux_statistics(params, m)
-    value = sigma_tot_projected(params, m)
+    # a huge spike overflows tau^2 to NaN, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        label = classify_regime(params, m, tol=tol)
+        aux = aux_statistics(params, m)
+        value = sigma_tot_projected(params, m)
     if math.isnan(value):
         raise UsageError(f"sigma_tot at m = {list(m)} leaves the float range (NaN)")
     doc = {
@@ -397,27 +399,15 @@ def cmd_rate(res: Resolver) -> int:
     gam = tuple(sorted(gamma, reverse=True))
     if gam != tuple(gamma):
         raise UsageError("gamma must be sorted in non-increasing order")
-    ts: list[float] = []
-    singles = res.get_list("t", float)
-    if singles:
-        ts.extend(singles)
+    ts = res.get_list("t", float, default=[])
     rng = res.get("t_range", _conv_range)
     if rng is not None:
-        ts.extend(_ticks(*rng))
+        ts += _ticks(*rng)
     if not ts:
         raise UsageError("need --t or --t-range")
-    rows = ["t,i_max,L,L_left"]
-    for t in ts:
-        rows.append(
-            ",".join(
-                [
-                    fmt_float(t),
-                    fmt_float(i_max(gam, t)),
-                    fmt_float(big_l(gam, t)),
-                    fmt_float(big_l_left(gam, t)),
-                ]
-            )
-        )
+    tcol = np.array(ts)
+    columns = [ts] + [f(gam, tcol).tolist() for f in (i_max, big_l, big_l_left)]
+    rows = ["t,i_max,L,L_left"] + [",".join(map(fmt_float, row)) for row in zip(*columns)]
     _write_text(res.get("out", str), "\n".join(rows) + "\n")
     return 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -429,33 +430,42 @@ def classify_regime(
     return RegimeLabel(int(codes[0])) if single else codes
 
 
-def _pattern_residual(params: ModelParams, pattern: tuple[int, ...], delta):
+def _first_failing(holds, lo: float, hi: float) -> float:
+    """The first float in (lo, hi] at which holds fails, for 0 <= lo < hi and
+    a predicate that holds on (lo, x) and fails on [x, hi]; hi is taken to
+    fail and never evaluated.  Non-negative doubles are ordered like their
+    int64 bit patterns, so bisecting those takes at most 64 steps at any
+    scale, from 0 to +inf.
+    """
+    a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if holds(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            a = mid
+        else:
+            b = mid
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def _pattern_residual(params: ModelParams, pattern: tuple[int, ...], delta: float):
     """Overlap vector and zero-condition residual for a common slope delta.
 
     Coordinates in the pattern carry m_i = (p delta / (k_i lam_i))^{1/(k_i-2)},
     the unique profile satisfying condition (a); there tau = delta alpha, so
     the residual of condition (b) is sqrt(2p) delta sqrt(1 - alpha) - 1.
-    Returns (m, alpha, residual) with residual NaN when alpha >= 1: a list and
-    two floats for one slope, arrays (N, r), (N,) and (N,) for N slopes.
+    Returns m as a list and the residual, NaN when alpha >= 1 (slopes far
+    past alpha = 1 overflow m to inf).
     """
-    deltas = np.asarray(delta, dtype=float)
-    single = deltas.ndim == 0
-    deltas = deltas.reshape(-1)
     p = params.p
-    m = np.zeros((len(deltas), params.r))
-    alpha = np.zeros(len(deltas))
-    # slopes far past alpha = 1 overflow to inf, which the NaN residual covers
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in pattern:
-            k_i, lam_i = params.k[i], params.lam[i]
-            m_i = _libm(pow, p * deltas / (k_i * lam_i), 1.0 / (k_i - 2))
-            m[:, i] = m_i
-            alpha = alpha + m_i * m_i
-        resid = math.sqrt(2 * p) * deltas * np.sqrt(1 - alpha) - 1
-    resid = np.where(alpha >= 1.0, math.nan, resid)
-    if single:
-        return m[0].tolist(), float(alpha[0]), float(resid[0])
-    return m, alpha, resid
+    m = [0.0] * params.r
+    alpha = 0.0
+    for i in pattern:
+        k_i, lam_i = params.k[i], params.lam[i]
+        m[i] = _saturating(pow, p * delta / (k_i * lam_i), 1.0 / (k_i - 2))
+        alpha = alpha + m[i] * m[i]
+    if alpha >= 1.0:
+        return m, math.nan
+    return m, math.sqrt(2 * p) * delta * math.sqrt(1 - alpha) - 1
 
 
 def zero_locus_solve(
@@ -464,18 +474,20 @@ def zero_locus_solve(
     """All overlap profiles solving the exact-zero conditions on a support pattern.
 
     pattern lists the coordinates allowed to be nonzero (default: all of them).
-    Coordinates off the pattern are pinned to zero.  Solutions are found by a
-    dense scan in the common slope followed by bisection to a relative width
-    of 1e-15; the list is ordered by increasing slope (hence increasing
-    overlaps) and may be empty.
+    Coordinates off the pattern are pinned to zero.  The list is ordered by
+    increasing slope (hence increasing overlaps) and holds 0, 1 or 2 profiles.
 
-    On a one-coordinate pattern the residual is C m^{k-2} sqrt(1 - m^2) - 1
-    with C = lam k sqrt(2/p): negative below the slope 1/sqrt(2p) and near
-    alpha = 1, with one peak at m^2 = (k-2)/(k-1).
-    The scan then also takes the peak, a point below 1/sqrt(2p) and the upper
-    end of the slope range, so each monotone side holds exactly one sign
-    change when the peak residual is positive, and the root count (0, one
-    double root, or 2) is exact, also just above lambda_critical.
+    On the pattern alpha = sum_i m_i^2 grows with the common slope delta,
+    and the residual sqrt(2p) delta sqrt(1 - alpha) - 1 is -1 at delta = 0
+    and at alpha = 1.  The log-derivative of delta^2 (1 - alpha) is
+    (2 / delta) (1 - sum_i (m_i^2 / (k_i - 2)) / (1 - alpha)), and that ratio
+    grows with delta; so for every pattern and set of degrees the residual
+    rises to one peak, where sum_i w_i m_i^2 = 1 with w_i = (k_i-1)/(k_i-2),
+    and falls after it.  There are two roots, one per monotone side, when the
+    peak residual is positive, one double root when it is 0, and none when it
+    is negative.  Each root is the first float at which the residual's sign
+    has flipped, found by bisection on the bit patterns of the slopes; a
+    large root that rounds into alpha = 1 (a huge spike) is dropped.
     """
     if pattern is None:
         pattern = tuple(range(params.r))
@@ -487,59 +499,22 @@ def zero_locus_solve(
     if any(params.lam[i] == 0.0 for i in pattern):
         return []
 
-    # upper end of the slope range: alpha(delta) is increasing, stop at alpha = 1
-    lo, hi = 0.0, 1.0
-    while _pattern_residual(params, pattern, hi)[1] < 1.0:
-        hi *= 2.0
-    # bisect until the bracket stops moving; a weak spike puts delta_max many
-    # binades below 1, and the float range bounds the number of halvings
-    for _ in range(2200):
-        mid = 0.5 * (lo + hi)
-        if _pattern_residual(params, pattern, mid)[1] < 1.0:
-            if lo == mid:
-                break
-            lo = mid
-        else:
-            if hi == mid:
-                break
-            hi = mid
-    delta_max = lo
+    def resid(delta: float) -> float:
+        return _pattern_residual(params, pattern, delta)[1]
 
-    grid_size = 4096
-    deltas = delta_max * np.arange(1, grid_size + 1) / (grid_size + 1)
-    if len(pattern) == 1:
-        p, k, lam = params.p, params.k[pattern[0]], params.lam[pattern[0]]
-        peak = k * lam * ((k - 2) / (k - 1)) ** (0.5 * (k - 2)) / p
-        extra = [peak, delta_max]
-        if 0.5 / math.sqrt(2 * p) < deltas[0]:
-            extra.append(0.5 / math.sqrt(2 * p))
-        deltas = np.unique(np.concatenate([deltas, extra]))
-    resids = _pattern_residual(params, pattern, deltas)[2]
+    def before_peak(delta: float) -> bool:
+        m = _pattern_residual(params, pattern, delta)[0]
+        return sum((params.k[i] - 1) / (params.k[i] - 2) * m[i] * m[i] for i in pattern) < 1.0
 
-    # compare signs, not products, which underflow to 0
-    r0, r1 = np.sign(resids[:-1]), np.sign(resids[1:])
-    hits = np.flatnonzero(~np.isnan(r1) & ((r0 == 0.0) | (r0 * r1 < 0.0)))
-    roots: list[float] = []
-    for j in hits.tolist():
-        if resids[j] == 0.0:
-            roots.append(float(deltas[j]))
-            continue
-        a, b = float(deltas[j]), float(deltas[j + 1])
-        negative = resids[j] < 0.0
-        for _ in range(2200):  # the float range bounds the halvings
-            c = 0.5 * (a + b)
-            fc = _pattern_residual(params, pattern, c)[2]
-            if fc == 0.0 or b - a < 1e-15 * a:
-                a = b = c
-                break
-            if (fc < 0.0) != negative:
-                b = c
-            else:
-                a = c
-        roots.append(0.5 * (a + b))
-    if resids[-1] == 0.0:
-        roots.append(float(deltas[-1]))
-
+    peak = _first_failing(before_peak, 0.0, math.inf)
+    top = resid(peak)
+    if not top >= 0.0:
+        return []
+    roots = [_first_failing(lambda d: resid(d) < 0.0, 0.0, peak)]
+    if top > 0.0:
+        right = _first_failing(lambda d: resid(d) > 0.0, peak, math.inf)
+        if not math.isnan(resid(right)):
+            roots.append(right)
     return [tuple(_pattern_residual(params, pattern, d)[0]) for d in roots]
 
 

@@ -6,8 +6,8 @@ spike of size gamma detaches an eigenvalue at gamma + 1/gamma once gamma > 1;
 below that it is invisible at this scale.  Every function here is closed form:
 sigma_max_projected maximizes piece by piece through the roots of a
 quadratic, with no numerical search, over a whole stack of overlap points in
-one pass.  i_gamma, big_l and sigma_max_joint broadcast as in core.
-Quadrature and scalar searches appear only in the test oracles.
+one pass.  i_gamma, i_max, big_l, big_l_left and sigma_max_joint broadcast
+as in core.  Quadrature and scalar searches appear only in the test oracles.
 """
 from __future__ import annotations
 
@@ -93,47 +93,43 @@ def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndar
     return _scalar(_select(bulk, INF, value))
 
 
-def _split_spikes(gamma: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Validate descending order and split into supercritical / subcritical."""
-    g = [float(v) for v in gamma]
-    if any(g[i] < g[i + 1] for i in range(len(g) - 1)):
-        raise ValueError(f"gamma must be sorted in non-increasing order, got {g}")
-    sup = [v for v in g if v >= 1.0]
-    sub = [v for v in g if 0.0 < v < 1.0]
-    return sup, sub
+def _descending(gamma) -> np.ndarray:
+    """gamma as a float array, checked non-increasing along its last axis."""
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma[..., :-1] < gamma[..., 1:]).any():
+        raise ValueError(f"gamma must be sorted in non-increasing order, got {gamma}")
+    return gamma
 
 
-def i_max(gamma: Sequence[float], x: float) -> float:
+def i_max(gamma: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
     """Rate for the largest eigenvalue of the spiked matrix to sit at x.
 
     Supercritical spikes contribute their individual rates, each switched off
     once x passes its typical location, except the leading one which always
-    counts.  With only subcritical spikes the pure GOE rate applies up to the
-    leading typical location and a tilted branch beyond it.  Entries <= 0 are
-    inert.  +inf below the bulk edge.
+    counts: below the leading location g_1 + 1/g_1 that sum is big_l, at or
+    above it only i_gamma(g_1, x) is left.  With only subcritical spikes the
+    pure GOE rate applies up to the leading typical location and a tilted
+    branch beyond it.  Entries <= 0 are inert.  +inf below the bulk edge.
+    gamma is one non-increasing spectrum (r,); x is a float or an array.
     """
-    sup, sub = _split_spikes(gamma)
-    if x < 2:
-        return INF
-    if sup:
-        total = i_gamma(sup[0], x)
-        for g in sup[1:]:
-            if x < g + 1.0 / g:
-                total += i_gamma(g, x)
-        return total
-    if sub:
-        g1 = sub[0]
-        if x <= g1 + 1.0 / g1:
-            return 0.5 * edge_area(x)
-        return (
-            0.25 * edge_area(x)
-            + 0.125 * x * x
-            - 0.5 * g1 * x
+    gamma = _descending(gamma)
+    g1 = float(gamma[0]) if len(gamma) else 0.0
+    xe = _select(x < 2, 2.0, x)  # edge_area needs x >= 2; the edge is applied last
+    if g1 >= 1.0:
+        value = _select(x < g1 + 1.0 / g1, big_l(gamma, xe), i_gamma(g1, xe))
+    elif g1 > 0.0:
+        tilted = (
+            0.25 * edge_area(xe)
+            + 0.125 * xe * xe
+            - 0.5 * g1 * xe
             + 0.25
             + 0.5 * math.log(g1)
             + 0.25 * g1 * g1
         )
-    return 0.5 * edge_area(x)
+        value = _select(xe <= g1 + 1.0 / g1, 0.5 * edge_area(xe), tilted)
+    else:
+        value = 0.5 * edge_area(xe)
+    return _scalar(_select(x < 2, INF, value))
 
 
 def big_l(gamma: Sequence[float] | np.ndarray, t) -> float | np.ndarray:
@@ -145,9 +141,7 @@ def big_l(gamma: Sequence[float] | np.ndarray, t) -> float | np.ndarray:
     float or an array, or a stack (N, r) with t an array whose leading axis
     runs over its rows; each spectrum must be non-increasing.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if (gamma[..., :-1] < gamma[..., 1:]).any():
-        raise ValueError(f"gamma must be sorted in non-increasing order, got {gamma}")
+    gamma = _descending(gamma)
     total = 0.0
     for g in gamma.T:  # one spike at a time, over every spectrum
         # a subcritical spike counts as gamma = 1, pushed only below the edge
@@ -158,15 +152,13 @@ def big_l(gamma: Sequence[float] | np.ndarray, t) -> float | np.ndarray:
     return _scalar(_select(t < 2, INF, total))
 
 
-def big_l_left(gamma: Sequence[float], t: float) -> float:
+def big_l_left(gamma: Sequence[float] | np.ndarray, t) -> float | np.ndarray:
     """Left limit of big_l: the rate for a strict fall below t.
 
     Differs from big_l only at the bulk edge, where strict confinement below
-    2 is impossible at this speed.
+    2 is impossible at this speed.  gamma and t broadcast as in big_l.
     """
-    if t <= 2:
-        return INF
-    return big_l(gamma, t)
+    return _scalar(_select(t <= 2, INF, big_l(gamma, t)))
 
 
 def sigma_max_joint(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:

@@ -242,7 +242,7 @@ def test_criterion_08_rate_function_suite():
         gam = tuple(sorted(rng.uniform(0.05, 3.0, size=r), reverse=True))
         t = float(rng.uniform(2.0, 6.0))
         xs = np.linspace(2.0, t, 400)
-        vals = [i_max(gam, float(x)) for x in xs]
+        vals = i_max(gam, xs)
         j = int(np.argmin(vals))
         lo, hi = xs[max(0, j - 1)], xs[min(len(xs) - 1, j + 1)]
         best = min(vals)

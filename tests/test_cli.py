@@ -150,7 +150,15 @@ def test_tiny_spike_classify_eta_infinite(tmp_path):
 
 def test_huge_spike_classify_exit_code():
     # tau^2 overflows at lam = 1e300 and sigma_tot comes out NaN
-    assert run_cli(["classify", "--p", "3", "--r", "1", "--lam", "1e300", "--m", "0.5"]) == 2
+    argv = ["classify", "--p", "3", "--r", "1", "--lam", "1e300", "--m", "0.5"]
+    assert run_cli(argv) == 2
+    # the usage error is all a user sees, with no numpy warnings before it
+    proc = subprocess.run([sys.executable, "-m", "pspinlab.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "usage error: sigma_tot at m = [0.5] leaves the float range (NaN)"
+    ]
 
 
 def test_experiment_requires_seed(capsys):
@@ -423,4 +431,49 @@ def test_grid_artifact_matches_recorded_digest(tmp_path, name):
     argv, digest = GRID_GOLDEN[name]
     out = tmp_path / "g.csv"
     assert run_cli(["grid", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of rate CSVs written by the point-by-point evaluator that the
+# one-call-per-column path replaced: supercritical leads with and without
+# subcritical followers, a purely subcritical spectrum, a lead at exactly
+# gamma = 1, a negative entry, an empty spectrum, and repeated single values
+_T = ("--t-range", "1.5:6:91")
+RATE_GOLDEN = {
+    "sup-sub": (
+        ("--gamma", "1.5,0.5", *_T),
+        "018eb3078bde5d6cc568385d0a24b98ca4027611702a61eb27301b5ac0774670",
+    ),
+    "sub": (
+        ("--gamma", "0.5", *_T),
+        "5f17b1fb0205691eebe9a91f91cb01e09cb7a65481c21a09e3373ef0ff58412d",
+    ),
+    "sup-sup-sub": (
+        ("--gamma", "2.0,1.2,0.3", *_T),
+        "f560bd74a18b1959ea611b2e48431cea3e8bdb4d89460eb5eee9adbfdf5f36bd",
+    ),
+    "edge-zero": (
+        ("--gamma", "1.0,0.0", *_T),
+        "c704406ddff591e8f906f62dc0617cbd26af94f2f928d7e62df5a9d47f77e6c8",
+    ),
+    "sub-negative": (
+        ("--gamma", "0.7,-0.2", *_T),
+        "44eccfc799c2d84692a76b3f2d99dd1050d2d3f3cdd93bbf58566e3ca70cc749",
+    ),
+    "empty": (
+        ("--gamma=", *_T),
+        "577197b108613eb85d965a0cc1fdd2f3a1ad742f755dcc56194e5d8e4be690fb",
+    ),
+    "repeated-t": (
+        ("--gamma", "1.5,0.5", "--t", "2", "--t", "2.5", "--t", "2", "--t", "2.5"),
+        "d71d93b6aa56c103104463a7eacf8b890f6a257a41b8d4556235dd28e6aa72c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_GOLDEN))
+def test_rate_artifact_matches_recorded_digest(tmp_path, name):
+    argv, digest = RATE_GOLDEN[name]
+    out = tmp_path / "rate.csv"
+    assert run_cli(["rate", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -12,12 +12,14 @@ from pspinlab import (
     appendix_diagnostics,
     aux_statistics,
     big_l,
+    big_l_left,
     classify_regime,
     edge_area,
     eta_critical,
     f_ab,
     g_ab,
     i_gamma,
+    i_max,
     lambda_critical,
     perturbation_factors,
     phi_star,
@@ -32,7 +34,7 @@ from pspinlab import (
     y_shift,
     zero_locus_solve,
 )
-from pspinlab.core import _pattern_residual, _profile_parts, _zero_conditions_hold
+from pspinlab.core import _profile_parts, _zero_conditions_hold
 
 P31 = ModelParams(p=3, r=1, k=(3,), lam=(2.0,))
 P32 = ModelParams(p=3, r=2, k=(3, 3), lam=(2.0, 1.5))
@@ -200,6 +202,46 @@ def test_zero_locus_huge_spike_single_root(lam):
     assert sols[0][0] * lam * math.sqrt(6) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p, k", [(3, 3), (4, 4), (3, 5)])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("eps", [1e-11, 1e-9])
+def test_zero_locus_multi_coordinate_threshold(p, k, r, eps):
+    # with equal degrees alpha = (p delta / k)^{2/(k-2)} eta on the full
+    # pattern, so the locus exists exactly when eta <= eta_c; next to the
+    # threshold both roots sit within ~sqrt(eps) of the peak
+    base = (1.0, 0.8, 0.6)[:r]
+    eta0 = sum(v ** (-2.0 / (k - 2)) for v in base)
+    for sign, count in ((-1, 2), (1, 0)):
+        eta = eta_critical(p, k) * (1 + sign * eps)
+        scale = (eta0 / eta) ** (0.5 * (k - 2))
+        params = ModelParams(p=p, r=r, k=(k,) * r, lam=tuple(scale * v for v in base))
+        sols = zero_locus_solve(params)
+        assert len(sols) == count
+        for sol in sols:
+            assert aux_statistics(params, sol).eta == pytest.approx(eta, rel=1e-14)
+            _assert_condition_b(params, sol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_zero_locus_mixed_degrees(data):
+    r = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(3, 5))
+    k = tuple(data.draw(st.lists(st.integers(3, 6), min_size=r, max_size=r)))
+    lam = data.draw(st.lists(st.floats(0.1, 30.0), min_size=r, max_size=r))
+    params = ModelParams(p=p, r=r, k=k, lam=tuple(sorted(lam, reverse=True)))
+    pattern = sorted(data.draw(st.sets(st.integers(0, r - 1), min_size=1)))
+    sols = zero_locus_solve(params, pattern)
+    assert len(sols) <= 2
+    for sol in sols:
+        assert all(sol[i] == 0.0 for i in range(r) if i not in pattern)
+        alpha = sum(v * v for v in sol)
+        if alpha < 0.999:
+            _assert_condition_b(params, sol)
+    if len(sols) == 2:
+        assert all(sols[0][i] < sols[1][i] for i in pattern)
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -260,15 +302,9 @@ def test_stack_matches_single_points(data):
         one = (big_l(gam[i], ts[i]), i_gamma(1.0 + gam[i, 0], ts[i]), phi_star(xs[i]),
                edge_area(2.0 + xs[i] * xs[i]))
         assert _bits([v[i] for v in rates]) == _bits(one)
-
-    pattern = tuple(i for i in range(r) if params.lam[i] > 0.0)
-    if pattern:
-        deltas = data.draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8))
-        m, alpha, resid = _pattern_residual(params, pattern, np.array(deltas))
-        for i, delta in enumerate(deltas):
-            one_m, one_alpha, one_resid = _pattern_residual(params, pattern, delta)
-            assert _bits(m[i]) == _bits(one_m)
-            assert _bits([alpha[i], resid[i]]) == _bits([one_alpha, one_resid])
+    for g in gam:
+        for f in (i_max, big_l_left):
+            assert _bits(f(g, ts)) == _bits([f(g, t) for t in ts.tolist()])
 
 
 def test_single_point_returns_python_scalars():
@@ -285,6 +321,9 @@ def test_single_point_returns_python_scalars():
         y_shift(P32, m, 0.5),
         t_func(P32, m, 0.5),
         big_l((1.5, 0.5), 2.2),
+        big_l_left((1.5, 0.5), 2.2),
+        i_max((1.5, 0.5), 2.2),
+        i_max((0.5,), 2.2),
         i_gamma(1.5, 2.2),
         phi_star(3.0),
         edge_area(3.0),
@@ -295,6 +334,8 @@ def test_single_point_returns_python_scalars():
     assert sigma_max_projected(P32, np.array([m, m])).shape == (2,)
     assert sigma_max_joint(P32, np.array([m, m]), np.zeros((2, 5))).shape == (2, 5)
     assert big_l(np.array([[1.5, 0.5]] * 2), np.full((2, 3), 2.2)).shape == (2, 3)
+    assert i_max((1.5, 0.5), np.full((2, 3), 2.2)).shape == (2, 3)
+    assert big_l_left((1.5, 0.5), np.full(4, 2.2)).shape == (4,)
     with pytest.raises(ValueError):
         sigma_tot_projected(P32, np.zeros((2, 3)))
 

@@ -82,6 +82,18 @@ def test_i_max_zero_at_top_outlier():
         assert i_max(gam, edge) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_i_max_unit_lead_below_edge():
+    # with g_1 = 1 the leading location is the edge itself, so x < 2 must
+    # stay +inf and x = 2 is the zero of i_gamma(1, .)
+    assert i_max((1.0,), 1.5) == INF
+    assert i_max((1.0, 0.5), 1.999) == INF
+    assert i_max((1.0,), 2.0) == 0.0
+    xs = np.array([1.0, 1.999, 2.0, 2.5])
+    got = i_max((1.0, 0.5), xs)
+    assert got.tolist() == [INF, INF, 0.0, i_gamma(1.0, 2.5)]
+    assert got.tolist() == [i_max((1.0, 0.5), float(x)) for x in xs]
+
+
 def test_i_max_requires_sorted():
     with pytest.raises(ValueError):
         i_max((0.5, 1.5), 3.0)
@@ -117,7 +129,7 @@ def test_big_l_is_infimum_of_i_max(gam, t):
     gam = tuple(sorted(gam, reverse=True))
     want = big_l(gam, t)
     xs = np.linspace(2.0, t, 600)
-    vals = [i_max(gam, float(x)) for x in xs]
+    vals = i_max(gam, xs)
     best = min(vals)
     j = int(np.argmin(vals))
     lo = xs[max(0, j - 1)]
