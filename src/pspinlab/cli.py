@@ -406,7 +406,8 @@ def cmd_rate(res: Resolver) -> int:
     if not ts:
         raise UsageError("need --t or --t-range")
     tcol = np.array(ts)
-    columns = [ts] + [f(gam, tcol).tolist() for f in (i_max, big_l, big_l_left)]
+    with np.errstate(over="ignore"):
+        columns = [ts] + [f(gam, tcol).tolist() for f in (i_max, big_l, big_l_left)]
     rows = ["t,i_max,L,L_left"] + [",".join(map(fmt_float, row)) for row in zip(*columns)]
     _write_text(res.get("out", str), "\n".join(rows) + "\n")
     return 0

@@ -154,12 +154,13 @@ def edge_area(x: float | np.ndarray) -> float | np.ndarray:
     """Integral of sqrt(y^2 - 4) from 2 to x, for x >= 2.
 
     This is the area that controls the exponential cost of pulling one
-    eigenvalue out of the bulk to position x.
+    eigenvalue out of the bulk to position x.  +inf where x * x overflows.
     """
     if _any(x < 2):
         raise ValueError(f"edge_area needs x >= 2, got {x}")
-    s = np.sqrt(x * x - 4)
-    return _scalar(0.5 * x * s - 2 * _libm(math.log, 0.5 * (x + s)))
+    huge = x * x == math.inf
+    s = np.sqrt(_select(huge, 4.0, x * x) - 4)
+    return _scalar(_select(huge, math.inf, 0.5 * x * s - 2 * _libm(math.log, 0.5 * (x + s))))
 
 
 def phi_star(x: float | np.ndarray) -> float | np.ndarray:

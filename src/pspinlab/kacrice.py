@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import ModelParams, _libm, s_func, t_func
-from .rmt import MCEstimate
-from .spikes import spike_eigenvalues
+from .rmt import MCEstimate, _goe
+from .spikes import perturbation_factors
 
 __all__ = [
     "SpikedPolynomial",
@@ -544,12 +544,6 @@ class QuadratureError(ArithmeticError):
     """The Gauss rule did not meet its refinement check within the node cap."""
 
 
-def _gauss_legendre(nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
-
-
 def kac_rice_eval(
     params: ModelParams,
     n: int,
@@ -564,12 +558,18 @@ def kac_rice_eval(
     """Expected number of critical points (or local maxima) at finite n, by
     Gauss-Legendre quadrature of the exact expected-count integral.
 
-    The overlap integral runs in angle coordinates m_i = sin(psi_i), which
-    absorbs the (1 - alpha) endpoint singularity at n = 2 (and at r = 1 in
-    general); the conditional determinant E|det H| is estimated by
-    common-random-number Monte Carlo, with the same GOE draws W at every node.
+    The overlap box psi in [-pi/2, pi/2]^r is the whole ball alpha < 1, by
+    m_i = sin(psi_i) prod_{j<i} cos(psi_j) (m = sin(psi) at r = 1), where the
+    boundary factor times the Jacobian is a product of powers n - j - 1 >= 0
+    of cos(psi_j); window i >= 2 is iterated over the nodes of the earlier
+    axes, and an empty range gets zero width.  E|det H| is estimated by
+    common-random-number Monte Carlo, with the same GOE draws W at every node;
+    the spikes add L^T diag(theta) L, with L L^T their Gram matrix, to the
+    first r x r block: it has the eigenvalues of the perturbation, hence by
+    orthogonal invariance the law of H, and it is smooth in m, where sorted
+    eigenvalues on the diagonal kink at crossings.
 
-    At each overlap node the eigenvalues mu of W + diag(gamma) are computed
+    At each overlap node the eigenvalues mu of H at t = 0 are computed
     once per draw.  As a function of the value x, |det H| = prod |mu - t(x)|
     has a kink at each mu, so the value axis is split there and each smooth
     piece gets its own Gauss rule; log|det H| is the sum of log|mu - t|, so no
@@ -594,11 +594,6 @@ def kac_rice_eval(
     windows = list(overlap_windows) if overlap_windows is not None else [None] * r
     if len(windows) != r:
         raise ValueError(f"need {r} overlap windows, got {len(windows)}")
-    psi_ranges = []
-    for win in windows:
-        lo, hi = (-1.0, 1.0) if win is None else win
-        lo, hi = max(lo, -1.0), min(hi, 1.0)
-        psi_ranges.append((math.asin(lo), math.asin(hi)))
 
     lam_sum = sum(params.lam)
     if value_window is None:
@@ -607,34 +602,17 @@ def kac_rice_eval(
 
     m_dim = n - 1
     root = math.sqrt(n / (n - 1))
-
     # one GOE(n-1) draw per inner trial, shared across all quadrature nodes
-    def draw(t: int) -> np.ndarray:
-        rng = np.random.default_rng((seed, t))
-        a = rng.normal(size=(m_dim, m_dim))
-        return (a + a.T) / math.sqrt(2.0 * m_dim)
-
     per_batch = inner_trials // batches
-    ws = np.stack([draw(t) for t in range(per_batch * batches)])
-    spiked = np.arange(r)
+    ws = np.stack([_goe(m_dim, seed, t) for t in range(per_batch * batches)])
 
-    def value_integrals(m: np.ndarray, xi: np.ndarray, wi: np.ndarray) -> np.ndarray:
-        """Per draw, the value-axis integral of exp(n s) |det H| at overlap m."""
-        s_at = s_func(params, m, np.array([-1.0, 0.0, 1.0]))
-        if not np.all(np.isfinite(s_at)):
-            return np.zeros(len(ws))
-        # s(x) is quadratic and the Hessian shift root * t(x) = a + b x is
-        # affine and rising in x
-        s0, s1, s2 = s_at[1], 0.5 * (s_at[2] - s_at[0]), 0.5 * (s_at[2] + s_at[0]) - s_at[1]
-        a, b = root * t_func(params, m, np.array([0.0, 1.0]))
-        b -= a
+    def value_integrals(spike, a, b, s0, s1, s2, xi: np.ndarray, wi: np.ndarray) -> np.ndarray:
+        """Per draw, the value-axis integral of exp(n s) |det H| at one node."""
         hs = ws.copy()
-        hs[:, spiked, spiked] += root * spike_eigenvalues(params, m)
+        hs[:, :r, :r] += spike
         mu = np.linalg.eigvalsh(hs)
         kinks = np.clip((mu - a) / b, x_lo, x_hi)
-        edges = np.concatenate(
-            [np.full((len(ws), 1), x_lo), kinks, np.full((len(ws), 1), x_hi)], axis=1
-        )
+        edges = np.pad(kinks, ((0, 0), (1, 1)), constant_values=(x_lo, x_hi))
         if which == "max":
             # H is negative definite only above its top eigenvalue
             edges = edges[:, -2:]
@@ -652,18 +630,35 @@ def kac_rice_eval(
 
     def rule(nodes: int) -> np.ndarray:
         """Per-batch integrals under the nodes-per-axis rule."""
-        axes = [_gauss_legendre(nodes, lo, hi) for lo, hi in psi_ranges]
         xi, wi = np.polynomial.legendre.leggauss(nodes)
+        # axis i bounds sin(psi_i) to [lo_i, hi_i] / P_i, P_i = prod_{j<i} cos(psi_j),
+        # at each node of the earlier axes; the Jacobian is prod_i P_{i+1}
+        m, weight, cap, jac = np.empty((1, 0)), np.ones(1), np.ones(1), np.ones(1)
+        for win in windows:
+            lo, hi = (-1.0, 1.0) if win is None else win
+            lo = _libm(math.asin, np.clip(lo / cap, -1.0, 1.0))
+            hi = _libm(math.asin, np.clip(hi / cap, -1.0, 1.0))
+            half = 0.5 * (np.maximum(hi, lo) - lo)[:, None]
+            psi = (lo[:, None] + half * (xi + 1.0)).ravel()
+            weight = (weight[:, None] * (half * wi)).ravel()
+            m, cap, jac = (np.repeat(v, nodes, axis=0) for v in (m, cap, jac))
+            m = np.column_stack([m, np.sin(psi) * cap])
+            cap = cap * np.cos(psi)
+            jac = jac * cap
+        s_at = s_func(params, m, np.broadcast_to([-1.0, 0.0, 1.0], (len(m), 3)))
+        keep = np.all(np.isfinite(s_at), axis=1)
+        m, (s_lo, s0, s_hi) = m[keep], s_at[keep].T
+        jac = weight[keep] * (jac[keep] * _libm(pow, 1.0 - _dot(m, m), -0.5 * (r + 2)))
+        # s(x) is quadratic and the Hessian shift root * t(x) = a + b x is
+        # affine and rising in x
+        s1, s2 = 0.5 * (s_hi - s_lo), 0.5 * (s_hi + s_lo) - s0
+        t_at = root * t_func(params, m, np.broadcast_to([0.0, 1.0], (len(m), 2)))
+        theta, gram = perturbation_factors(params, m)
+        chol = np.linalg.cholesky(gram)
+        spike = root * (chol.transpose(0, 2, 1) @ (theta[:, :, None] * chol))
         sums = np.zeros(len(ws))
-        for combo in itertools.product(range(nodes), repeat=r):
-            psis = np.array([axes[i][0][j] for i, j in enumerate(combo)])
-            m = np.sin(psis)
-            alpha = float(m @ m)
-            if alpha >= 1.0 - 1e-13:
-                continue
-            jac = math.prod(axes[i][1][j] for i, j in enumerate(combo))
-            jac *= math.prod(np.cos(psis)) * (1.0 - alpha) ** (-0.5 * (r + 2))
-            sums += jac * value_integrals(m, xi, wi)
+        for c, *node in zip(jac, spike, t_at[:, 0], t_at[:, 1] - t_at[:, 0], s0, s1, s2):
+            sums += c * value_integrals(*node, xi, wi)
         return c_constant(n, r, params.p) * sums.reshape(batches, per_batch).mean(axis=1)
 
     nodes = _FIRST_NODES

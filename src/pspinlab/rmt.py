@@ -67,15 +67,18 @@ class SpectralSample:
     spec: GOESpec
 
 
+def _goe(n: int, seed: int, trial: int) -> np.ndarray:
+    """One bulk-normalized GOE(n) matrix from the stream (seed, trial)."""
+    a = np.random.default_rng((seed, trial)).normal(size=(n, n))
+    return (a + a.T) / math.sqrt(2.0 * n)
+
+
 def _sample_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
-    rng = np.random.default_rng((spec.seed, trial))
-    n = spec.n
-    a = rng.normal(size=(n, n))
-    w = (a + a.T) / math.sqrt(2.0 * n)
+    w = _goe(spec.n, spec.seed, trial)
     idx = np.arange(len(spec.gamma))
     w[idx, idx] += np.asarray(spec.gamma)
     if spec.shift != 0.0:
-        w[np.diag_indices(n)] -= spec.shift
+        w[np.diag_indices(spec.n)] -= spec.shift
     return np.linalg.eigvalsh(w)
 
 

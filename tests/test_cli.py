@@ -239,6 +239,34 @@ def test_console_script_installed():
     assert proc.stdout.startswith("t,i_max,L,L_left")
 
 
+def test_rate_huge_t_is_infinite():
+    # t * t overflows at t = 1e200, where i_max is +inf and both L are 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "pspinlab.cli", "rate", "--gamma", "1.5",
+         "--t", "1e200", "--t", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.split("\n") == [
+        "t,i_max,L,L_left",
+        "9.9999999999999997e+199,+inf,0,0",
+        "3,0.2475462205568999,0,0",
+        "",
+    ]
+
+
+def test_kacrice_formula_rank_two_converges(tmp_path):
+    out = tmp_path / "formula.json"
+    rc = run_cli(["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "2",
+                  "--lam", "1,0.5", "--n", "3", "--inner-trials", "8", "--batches", "2",
+                  "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["extras"]["quadrature_rel_gap"] <= 1e-4
+    assert doc["estimate"] > 0.0
+
+
 def test_cli_import_leaves_scipy_unloaded():
     import pspinlab
 

@@ -302,6 +302,104 @@ def test_gauss_rule_matches_nquad_oracle(params, n, which):
     assert est.extras["underflow_trials"] == 0
 
 
+P4 = ModelParams(p=4, r=1, k=(5,), lam=(1.5,))
+
+# float.hex() of value, std_error and quadrature_rel_gap of kac_rice_eval at
+# 64 draws in 4 batches, seed 3: at r = 1 the hyperspherical overlap map is
+# the one-axis rule m = sin(psi), whose bits these pin
+FORMULA_GOLDEN = {
+    "n2-total": (P1, 2, {}, (
+        "0x1.38658b60c1b58p+2", "0x1.9743242863702p-4", "0x1.6dcfcdea794e7p-31")),
+    "n2-max": (P1, 2, {"which": "max"}, (
+        "0x1.2a3b6b5c3deb9p+1", "0x1.8c67a26c06916p-3", "0x1.71ffcb6622b24p-14")),
+    "n2-value-window": (P1, 2, {"value_window": (-1.0, 0.5)}, (
+        "0x1.62d35e57324ecp+1", "0x1.8fafd23bbe000p-4", "0x1.9dec9940f4b3bp-14")),
+    "n2-overlap-window": (P1, 2, {"overlap_windows": [(0.2, 0.9)]}, (
+        "0x1.3765b715905bdp+0", "0x1.08a2ea189c86fp-4", "0x1.f4354915e9cc6p-32")),
+    "n3-window": (P1, 3, {"overlap_windows": [(0.0, 0.8)]}, (
+        "0x1.11a734c77aed9p+2", "0x1.0a156eadab092p-2", "0x1.57a7804d187dbp-30")),
+    "n3-unspiked": (P0, 3, {}, (
+        "0x1.8aedc6c1ec749p+3", "0x1.c5f2ddc389acfp-2", "0x1.148a65b32f2f9p-32")),
+    "p4-k5-n4": (P4, 4, {}, (
+        "0x1.f94a4158fcf3fp+4", "0x1.bfd543d026eaap-1", "0x1.53115ebcd0fe6p-18")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMULA_GOLDEN))
+def test_formula_matches_recorded_bits(case):
+    params, n, kwargs, want = FORMULA_GOLDEN[case]
+    est = kac_rice_eval(params, n, inner_trials=64, batches=4, seed=3, **kwargs)
+    got = (est.value.hex(), est.std_error.hex(), est.extras["quadrature_rel_gap"].hex())
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the hyperspherical overlap box at r >= 2
+
+P2 = ModelParams(p=3, r=2, k=(3, 3), lam=(1.0, 0.5))
+Z2 = ModelParams(p=3, r=2, k=(3, 3), lam=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("which", ["total", "max"])
+def test_formula_unspiked_is_rank_free(which):
+    # at lam = 0 the count does not see the spike directions, and the
+    # overlap integral of (1 - alpha)^((n - r - 2)/2) cancels against the
+    # r-dependence of c_constant; the same draws give the same number
+    one = kac_rice_eval(P0, 3, inner_trials=8, batches=2, seed=6, which=which)
+    two = kac_rice_eval(Z2, 3, inner_trials=8, batches=2, seed=6, which=which)
+    assert two.value == pytest.approx(one.value, rel=1e-9)
+
+
+def test_formula_windows_reaching_the_sphere():
+    # at lam = 0 the integrand is even in each overlap, so a half-ball holds
+    # half of the count and a quadrant a quarter; the value window only
+    # lets the value axis converge at fewer nodes
+    def value(windows):
+        return kac_rice_eval(
+            Z2, 3, overlap_windows=windows, value_window=(-1.0, 1.0), inner_trials=8, batches=2, seed=6
+        ).value
+
+    full = value(None)
+    assert 2.0 * value([(0.0, 1.0), None]) == pytest.approx(full, rel=1e-9)
+    assert 2.0 * value([None, (0.0, 1.0)]) == pytest.approx(full, rel=1e-9)
+    assert 4.0 * value([(0.0, 1.0), (0.0, 1.0)]) == pytest.approx(full, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, which", [(3, "total"), (3, "max"), (4, "total"), (4, "max")])
+def test_formula_rank_two_one_stack_call_per_rule(monkeypatch, n, which):
+    # the whole ball converges at r = 2, and each rule evaluates the closed
+    # forms once, on its whole node stack
+    from pspinlab import kacrice
+
+    calls = {"s_func": 0, "t_func": 0, "perturbation_factors": 0}
+
+    def counted(name):
+        fn = getattr(kacrice, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kacrice, name, counted(name))
+    est = kac_rice_eval(P2, n, inner_trials=8, batches=2, seed=8, which=which)
+    assert est.extras["quadrature_rel_gap"] <= 1e-4
+    rules = int(math.log2(est.extras["quadrature_nodes"] // kacrice._FIRST_NODES)) + 1
+    assert calls == dict.fromkeys(calls, rules)
+
+
+def test_kac_rice_identity_rank_two_n3():
+    # seeds and sizes fixed before the first run: 100 landscapes at budget
+    # 200 against 128 draws
+    counted = count_expected(P2, 3, 100, seed=21, budget=200)
+    formula = kac_rice_eval(P2, 3, inner_trials=128, batches=8, seed=5)
+    se = math.hypot(counted.std_error, formula.std_error)
+    assert counted.extras["euler_mismatch_landscapes"] == 0
+    assert abs(counted.value - formula.value) <= 3.0 * se
+
+
 def test_gauss_rule_node_cap_raises(monkeypatch):
     from pspinlab import QuadratureError, kacrice
 
