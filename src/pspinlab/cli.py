@@ -208,9 +208,19 @@ def _conv_range(v) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise UsageError(f"range must be MIN:MAX:STEPS, got {v!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    # an infinite or NaN end, or a width that overflows, makes NaN ticks
+    if not math.isfinite(hi - lo):
+        raise UsageError("range must have finite MIN, MAX and MAX - MIN")
     if steps < 1 or (steps > 1 and not lo < hi):
         raise UsageError("range must have MIN < MAX and STEPS >= 1")
     return lo, hi, steps
+
+
+def _conv_t(v) -> float:
+    t = float(v)
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
+    return t
 
 
 def _ticks(lo: float, hi: float, steps: int) -> list[float]:
@@ -399,7 +409,7 @@ def cmd_rate(res: Resolver) -> int:
     gam = tuple(sorted(gamma, reverse=True))
     if gam != tuple(gamma):
         raise UsageError("gamma must be sorted in non-increasing order")
-    ts = res.get_list("t", float, default=[])
+    ts = res.get_list("t", _conv_t, default=[])
     rng = res.get("t_range", _conv_range)
     if rng is not None:
         ts += _ticks(*rng)

@@ -77,20 +77,23 @@ def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndar
     """Rate for the top eigenvalue of a GOE matrix with one supercritical
     spike (gamma >= 1) to sit at x.  Zero exactly at the typical location
     gamma + 1/gamma; the smooth continuation below it is what enters i_max.
-    +inf below the bulk edge.  gamma and x are floats or arrays that
-    broadcast together.
+    +inf below the bulk edge and at x = +inf.  gamma and x are floats or
+    arrays that broadcast together.
     """
     if _any(gamma < 1):
         raise ValueError(f"i_gamma requires gamma >= 1, got {gamma}")
-    bulk = x < 2
-    x = _select(bulk, 2.0, x)
+    # at x = +inf the terms below are inf - inf; both ends are applied last
+    off = (x < 2) | (x == INF)
+    x = _select(off, 2.0, x)
     e = gamma + 1.0 / gamma
     value = (
         0.25 * (edge_area(x) - edge_area(e))
         - 0.5 * gamma * (x - e)
         + 0.125 * (x * x - e * e)
     )
-    return _scalar(_select(bulk, INF, value))
+    # the rate is >= 0; near x = e = 2 the three terms cancel to -1e-16 noise
+    value = np.maximum(value, 0.0)
+    return _scalar(_select(off, INF, value))
 
 
 def _descending(gamma) -> np.ndarray:
@@ -109,12 +112,16 @@ def i_max(gamma: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
     counts: below the leading location g_1 + 1/g_1 that sum is big_l, at or
     above it only i_gamma(g_1, x) is left.  With only subcritical spikes the
     pure GOE rate applies up to the leading typical location and a tilted
-    branch beyond it.  Entries <= 0 are inert.  +inf below the bulk edge.
-    gamma is one non-increasing spectrum (r,); x is a float or an array.
+    branch beyond it.  Entries <= 0 are inert.  +inf below the bulk edge
+    and at x = +inf.  gamma is one non-increasing spectrum (r,); x is a
+    float or an array.
     """
     gamma = _descending(gamma)
     g1 = float(gamma[0]) if len(gamma) else 0.0
-    xe = _select(x < 2, 2.0, x)  # edge_area needs x >= 2; the edge is applied last
+    # edge_area needs x >= 2, and at x = +inf the branches are inf - inf;
+    # both ends are applied last
+    off = (x < 2) | (x == INF)
+    xe = _select(off, 2.0, x)
     if g1 >= 1.0:
         value = _select(x < g1 + 1.0 / g1, big_l(gamma, xe), i_gamma(g1, xe))
     elif g1 > 0.0:
@@ -129,7 +136,7 @@ def i_max(gamma: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
         value = _select(xe <= g1 + 1.0 / g1, 0.5 * edge_area(xe), tilted)
     else:
         value = 0.5 * edge_area(xe)
-    return _scalar(_select(x < 2, INF, value))
+    return _scalar(_select(off, INF, value))
 
 
 def big_l(gamma: Sequence[float] | np.ndarray, t) -> float | np.ndarray:

@@ -73,13 +73,18 @@ def _goe(n: int, seed: int, trial: int) -> np.ndarray:
     return (a + a.T) / math.sqrt(2.0 * n)
 
 
-def _sample_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
+def _sample_matrix(spec: GOESpec, trial: int) -> np.ndarray:
+    """One draw W + diag(gamma) - shift * I from the stream (seed, trial)."""
     w = _goe(spec.n, spec.seed, trial)
     idx = np.arange(len(spec.gamma))
     w[idx, idx] += np.asarray(spec.gamma)
     if spec.shift != 0.0:
         w[np.diag_indices(spec.n)] -= spec.shift
-    return np.linalg.eigvalsh(w)
+    return w
+
+
+def _sample_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
+    return np.linalg.eigvalsh(_sample_matrix(spec, trial))
 
 
 def sample_spectrum(spec: GOESpec) -> SpectralSample:
@@ -87,79 +92,93 @@ def sample_spectrum(spec: GOESpec) -> SpectralSample:
     return SpectralSample(eigenvalues=_sample_eigenvalues(spec, 0), spec=spec)
 
 
-def _log_mean_exp(logs: np.ndarray) -> tuple[float, float]:
-    """log of the mean of exp(logs) and the delta-method SE of that log.
+def _log_mean_exp(logs: np.ndarray) -> tuple[float, float, dict]:
+    """log of the mean of exp(logs), the delta-method SE of that log, and the
+    weight diagnostics of the mean.
 
-    Handles -inf entries (they contribute zero mass).  Returns (-inf, nan)
-    when every entry underflows.
+    With u = exp(logs - max), the diagnostics are the effective sample size
+    ess = (sum u)^2 / sum u^2, the largest weight's share max u / sum u, and
+    low_ess = ess < 0.1 * len(logs), which flags an error bar carried by a
+    few trials.  Handles -inf entries (they contribute zero mass).  Returns
+    (-inf, nan) with ess 0 and a NaN share when every entry underflows.
     """
+    trials = len(logs)
     m = float(np.max(logs))
     if m == float("-inf"):
-        return float("-inf"), math.nan
+        return float("-inf"), math.nan, {"ess": 0.0, "max_weight_share": math.nan, "low_ess": True}
     u = np.exp(logs - m)
     mean_u = float(np.mean(u))
     log_mean = m + math.log(mean_u)
-    if len(logs) > 1:
-        se_u = float(np.std(u, ddof=1)) / math.sqrt(len(logs))
+    if trials > 1:
+        se_u = float(np.std(u, ddof=1)) / math.sqrt(trials)
         se_log = se_u / mean_u
     else:
         se_log = math.nan
-    return log_mean, se_log
+    total = float(np.sum(u))
+    ess = total * total / float(np.sum(u * u))
+    # the largest weight is exp(0) = 1
+    weights = {"ess": ess, "max_weight_share": 1.0 / total, "low_ess": ess < 0.1 * trials}
+    return log_mean, se_log, weights
 
 
 def mc_log_abs_det(spec: GOESpec, trials: int) -> MCEstimate:
     """(1/n) log E|det| of the sampled matrix, by direct Monte Carlo.
 
-    The expectation is of |det| itself, not of its log, so the estimate is a
-    log-mean-exp over per-trial log|det| values with a delta-method error bar.
-    All-trial underflow is reported as -inf with a flag rather than an error.
+    Each trial's log|det| is the sum of log|pivot| of one LU factorization
+    (np.linalg.slogdet); no eigenvalues are computed.  The expectation is of
+    |det| itself, not of its log, so the estimate is a log-mean-exp over the
+    per-trial values with a delta-method error bar; extras carry its weight
+    diagnostics (see _log_mean_exp).  All-trial underflow gives -inf with a
+    NaN std_error and the all_underflow flag rather than an exception.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def worker(t: int) -> float:
-        ev = _sample_eigenvalues(spec, t)
-        with np.errstate(divide="ignore"):
-            return float(np.sum(np.log(np.abs(ev))))
-
-    logs = np.array([worker(t) for t in range(trials)])
+    logs = np.array([np.linalg.slogdet(_sample_matrix(spec, t))[1] for t in range(trials)])
     underflow = int(np.sum(np.isneginf(logs)))
-    log_mean, se_log = _log_mean_exp(logs)
-    extras = {"underflow_trials": underflow, "all_underflow": underflow == trials}
-    if underflow == trials:
-        return MCEstimate(float("-inf"), math.nan, trials, spec.seed, extras)
-    n = spec.n
-    return MCEstimate(log_mean / n, se_log / n, trials, spec.seed, extras)
+    log_mean, se_log, weights = _log_mean_exp(logs)
+    extras = {"underflow_trials": underflow, "all_underflow": underflow == trials, **weights}
+    return MCEstimate(log_mean / spec.n, se_log / spec.n, trials, spec.seed, extras)
+
+
+def _log_abs_det_negative_definite(m: np.ndarray) -> float:
+    """log|det m| when m is negative definite, else -inf.
+
+    One Cholesky factorization L L^T of -m: it succeeds exactly when -m is
+    positive definite, and then log|det m| = 2 sum log diag(L).
+    """
+    try:
+        chol = np.linalg.cholesky(-m)
+    except np.linalg.LinAlgError:
+        return float("-inf")
+    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
 
 
 def mc_restricted_det(spec: GOESpec, trials: int) -> MCEstimate:
-    """(1/n) log E[|det| restricted to negative-semidefinite samples].
+    """(1/n) log E[|det| restricted to negative definite samples].
 
-    Same estimator as mc_log_abs_det with rejected trials contributing zero
-    mass; the acceptance fraction rides along in extras.
+    A draw M is accepted when it is negative definite (Cholesky of -M
+    succeeds), and that factorization also gives its log|det|; no
+    eigenvalues are computed.  A negative-semidefinite test would differ
+    only on draws with top eigenvalue exactly 0, a set of probability zero
+    whose log|det| is -inf, so such a draw adds zero mass either way.  The
+    estimator is mc_log_abs_det's with rejected trials contributing zero
+    mass; the acceptance fraction and the weight diagnostics ride along in
+    extras.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def worker(t: int) -> tuple[float, bool]:
-        ev = _sample_eigenvalues(spec, t)
-        ok = bool(ev[-1] <= 0.0)
-        with np.errstate(divide="ignore"):
-            return float(np.sum(np.log(np.abs(ev)))), ok
-
-    pairs = [worker(t) for t in range(trials)]
-    logs = np.array([v if ok else float("-inf") for v, ok in pairs])
-    accepted = int(sum(ok for _, ok in pairs))
+    logs = np.array(
+        [_log_abs_det_negative_definite(_sample_matrix(spec, t)) for t in range(trials)]
+    )
+    accepted = int(np.sum(np.isfinite(logs)))
+    log_mean, se_log, weights = _log_mean_exp(logs)
     extras = {
         "acceptance_fraction": accepted / trials,
         "accepted_trials": accepted,
         "all_rejected": accepted == 0,
+        **weights,
     }
-    if accepted == 0:
-        return MCEstimate(float("-inf"), math.nan, trials, spec.seed, extras)
-    log_mean, se_log = _log_mean_exp(logs)
-    n = spec.n
-    return MCEstimate(log_mean / n, se_log / n, trials, spec.seed, extras)
+    return MCEstimate(log_mean / spec.n, se_log / spec.n, trials, spec.seed, extras)
 
 
 def mc_lambda_max_tail(spec: GOESpec, trials: int, t: float) -> MCEstimate:
@@ -308,8 +327,8 @@ def spherical_integral_mc(
         return float(0.5 * n * np.dot(gam, quad))
 
     exps = np.array([worker(t) for t in range(trials)])
-    log_mean, se_log = _log_mean_exp(exps)
+    log_mean, se_log, weights = _log_mean_exp(exps)
     value = math.exp(log_mean) if log_mean < 700 else float("inf")
     se = value * se_log if math.isfinite(value) else float("inf")
-    extras = {"log_value": log_mean, "log_std_error_of_log": se_log}
+    extras = {"log_value": log_mean, "log_std_error_of_log": se_log, **weights}
     return MCEstimate(value, se, trials, seed, extras)

@@ -256,6 +256,59 @@ def test_rate_huge_t_is_infinite():
     ]
 
 
+@pytest.mark.parametrize("gamma", ["1.5", "0.5", ""])
+def test_rate_infinite_t_is_the_limit_row(gamma):
+    # supercritical, subcritical and no spike: the t -> +inf row, as at t = 1e200
+    proc = subprocess.run(
+        [sys.executable, "-m", "pspinlab.cli", "rate", f"--gamma={gamma}",
+         "--t", "inf", "--t", "2.1", "--t=-inf"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = proc.stdout.split("\n")
+    assert rows[1] == "+inf,+inf,0,0"
+    assert rows[3] == "-inf,+inf,+inf,+inf"
+
+
+@pytest.mark.parametrize("t_args", [
+    ["--t", "nan"],
+    ["--t", "2.5", "--t", "NaN"],
+    ["--t-range", "nan:3:1"],
+    ["--t-range", "2:nan:5"],
+    ["--t-range", "2:inf:3"],
+    ["--t-range=-1.7e308:1.7e308:3"],
+])
+def test_rate_nan_t_or_unbounded_range_exit_code(t_args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pspinlab.cli", "rate", "--gamma", "1.5", *t_args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "mc-det", "--n", "20", "--gamma", "1.5", "--trials", "64"],
+    ["--experiment", "mc-restricted", "--n", "20", "--gamma", "1.5", "--shift", "2.5",
+     "--trials", "64"],
+    ["--experiment", "spherical", "--n", "8", "--gamma", "0.8", "--diag=-1,-0.5,0,0.5,1,1,1,1",
+     "--trials", "64"],
+])
+def test_log_mean_exp_experiments_report_ess(tmp_path, argv):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(["experiment", *argv, "--seed", "2", "--out", str(a)]) == 0
+    assert run_cli(["experiment", *argv, "--seed", "2", "--out", str(b)]) == 0
+    extras = json.loads(a.read_text())["extras"]
+    assert 1.0 <= extras["ess"] <= 64.0
+    assert 1.0 / 64.0 <= extras["max_weight_share"] <= 1.0
+    assert extras["low_ess"] is (extras["ess"] < 6.4)
+    strip = lambda path: [ln for ln in path.read_text().splitlines() if '"wall_time"' not in ln]
+    assert strip(a) == strip(b)
+
+
 def test_kacrice_formula_rank_two_converges(tmp_path):
     out = tmp_path / "formula.json"
     rc = run_cli(["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "2",

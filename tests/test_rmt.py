@@ -165,3 +165,123 @@ def test_underflow_flag_exposed():
     est = mc_log_abs_det(spec, 10)
     assert "underflow_trials" in est.extras
     assert "all_underflow" in est.extras
+
+
+# ---------------------------------------------------------------------------
+# the factorized estimators against an eigenvalue oracle
+
+def _oracle_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
+    """The draw of (seed, trial), built here from the RNG stream, diagonalized."""
+    a = np.random.default_rng((spec.seed, trial)).normal(size=(spec.n, spec.n))
+    w = (a + a.T) / math.sqrt(2.0 * spec.n)
+    w[np.diag_indices(spec.n)] += np.pad(spec.gamma, (0, spec.n - len(spec.gamma))) - spec.shift
+    return np.linalg.eigvalsh(w)
+
+
+def _per_trial_logs(monkeypatch, estimator, spec, trials):
+    """The per-trial log|det| values an estimator hands to its log-mean-exp."""
+    from pspinlab import rmt
+
+    seen = []
+    reduce = rmt._log_mean_exp
+
+    def spy(logs):
+        seen.append(np.array(logs))
+        return reduce(logs)
+
+    monkeypatch.setattr(rmt, "_log_mean_exp", spy)
+    estimate = estimator(spec, trials)
+    monkeypatch.undo()
+    (logs,) = seen
+    return logs, estimate
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 200])
+@pytest.mark.parametrize("shift", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("spiked", [False, True])
+def test_factorized_log_abs_det_matches_eigenvalues(monkeypatch, n, shift, spiked):
+    gamma = (1.5, 0.5)[:n] if spiked else ()
+    spec = GOESpec(n=n, gamma=gamma, shift=shift, seed=13)
+    trials = 6
+    plain, _ = _per_trial_logs(monkeypatch, mc_log_abs_det, spec, trials)
+    gated, _ = _per_trial_logs(monkeypatch, mc_restricted_det, spec, trials)
+    for t in range(trials):
+        ev = _oracle_eigenvalues(spec, t)
+        want = float(np.sum(np.log(np.abs(ev))))
+        assert plain[t] == pytest.approx(want, abs=1e-9)
+        if ev[-1] <= 0.0:
+            assert gated[t] == pytest.approx(want, abs=1e-9)
+        else:
+            assert gated[t] == float("-inf")
+
+
+@pytest.mark.parametrize("shift", [2.0, 2.4])
+def test_cholesky_acceptance_matches_eigenvalue_gate(monkeypatch, shift):
+    spec = GOESpec(n=100, gamma=(1.5,), shift=shift, seed=0)
+    trials = 500
+    logs, est = _per_trial_logs(monkeypatch, mc_restricted_det, spec, trials)
+    oracle = np.array([_oracle_eigenvalues(spec, t)[-1] <= 0.0 for t in range(trials)])
+    assert np.array_equal(np.isfinite(logs), oracle)
+    assert 0 < est.extras["accepted_trials"] == int(np.sum(oracle)) < trials
+
+
+def test_det_estimators_call_no_eigensolver(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    spec = GOESpec(n=40, gamma=(1.5,), shift=2.6, seed=1)
+    mc_log_abs_det(spec, 20)
+    mc_restricted_det(spec, 20)
+    assert calls == []
+    sample_spectrum(spec)  # the spectrum path still diagonalizes, through the patch
+    assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# weight diagnostics of the log-mean-exp reduction
+
+@pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
+def test_log_mean_exp_weights_hand_built(offset):
+    from pspinlab.rmt import _log_mean_exp
+
+    # weights 1, 1, 2, 4 (scaled by 1/4): sum 2, sum of squares 1.375
+    logs = np.log(np.array([1.0, 1.0, 2.0, 4.0])) + offset
+    log_mean, _, w = _log_mean_exp(logs)
+    assert log_mean == pytest.approx(math.log(2.0) + offset, abs=1e-12)
+    assert w["ess"] == pytest.approx(4.0 / 1.375, rel=1e-14)
+    assert w["max_weight_share"] == pytest.approx(0.5, rel=1e-14)
+    assert w["low_ess"] is False
+
+    # 20 trials, one carries all the mass: ESS 1 < 0.1 * 20
+    logs = np.full(20, float("-inf"))
+    logs[7] = offset
+    _, _, w = _log_mean_exp(logs)
+    assert (w["ess"], w["max_weight_share"], w["low_ess"]) == (1.0, 1.0, True)
+
+    # two equal masses: ESS 2, low at 21 trials (2 < 2.1), not at 19 (2 >= 1.9)
+    for trials, low in ((21, True), (19, False)):
+        logs = np.full(trials, float("-inf"))
+        logs[[3, 11]] = offset
+        _, _, w = _log_mean_exp(logs)
+        assert (w["ess"], w["max_weight_share"], w["low_ess"]) == (2.0, 0.5, low)
+
+    # equal weights: every trial counts
+    _, _, w = _log_mean_exp(np.full(50, offset))
+    assert w["ess"] == pytest.approx(50.0, rel=1e-14)
+    assert w["max_weight_share"] == pytest.approx(0.02, rel=1e-14)
+    assert w["low_ess"] is False
+
+
+def test_log_mean_exp_weights_without_mass():
+    from pspinlab.rmt import _log_mean_exp
+
+    log_mean, se, w = _log_mean_exp(np.full(5, float("-inf")))
+    assert log_mean == float("-inf") and math.isnan(se)
+    assert w["ess"] == 0.0 and math.isnan(w["max_weight_share"]) and w["low_ess"] is True
+    est = mc_restricted_det(GOESpec(n=10, seed=2, shift=-3.0), 5)
+    assert est.extras["ess"] == 0.0 and est.extras["low_ess"] is True
