@@ -4,7 +4,14 @@ spherical polynomial landscapes.
 Closed-form layer: complexity surfaces, spike-perturbation eigenvalues, and
 eigenvalue large-deviation rates.  Stochastic layer: seeded spiked-GOE Monte
 Carlo and exact finite-dimension critical point counting for cross checks.
+
+Importing the package loads the closed-form layer (`core`, `spikes`,
+`rates`).  The stochastic layer (`rmt`, `kacrice`) loads on first use: the
+first lookup of one of its names, e.g. `pspinlab.GOESpec`, imports its
+module.
 """
+import importlib
+
 from .core import (
     AuxStatistics,
     ModelParams,
@@ -26,17 +33,6 @@ from .core import (
     y_shift,
     zero_locus_solve,
 )
-from .kacrice import (
-    CriticalPoint,
-    QuadratureError,
-    SpikedPolynomial,
-    build_polynomial,
-    c_constant,
-    count_expected,
-    find_critical_points,
-    kac_rice_eval,
-    sphere_surface,
-)
 from .rates import (
     big_l,
     big_l_left,
@@ -47,20 +43,55 @@ from .rates import (
     sigma_max_joint,
     sigma_max_projected,
 )
-from .rmt import (
-    GOESpec,
-    MCEstimate,
-    SpectralSample,
-    esd_distance,
-    mc_lambda_max_tail,
-    mc_log_abs_det,
-    mc_restricted_det,
-    sample_spectrum,
-    spherical_integral_mc,
-)
 from .spikes import perturbation_factors, spike_eigenvalues, spike_eigenvalues_r2
 
 __version__ = "0.1.0"
+
+# name -> submodule for the stochastic layer, imported by the first lookup.
+# The resolved objects are not stored in the package namespace, so every
+# lookup reads the submodule's current global.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "CriticalPoint",
+            "QuadratureError",
+            "SpikedPolynomial",
+            "build_polynomial",
+            "c_constant",
+            "count_expected",
+            "find_critical_points",
+            "kac_rice_eval",
+            "sphere_surface",
+        ),
+        "kacrice",
+    ),
+    **dict.fromkeys(
+        (
+            "GOESpec",
+            "MCEstimate",
+            "SpectralSample",
+            "esd_distance",
+            "mc_lambda_max_tail",
+            "mc_log_abs_det",
+            "mc_restricted_det",
+            "sample_spectrum",
+            "spherical_integral_mc",
+        ),
+        "rmt",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AuxStatistics",

@@ -33,16 +33,7 @@ from .core import (
     tau_critical,
     zero_locus_solve,
 )
-from .kacrice import QuadratureError, count_expected, kac_rice_eval
 from .rates import big_l, big_l_left, i_max, sigma_max_projected
-from .rmt import (
-    GOESpec,
-    esd_distance,
-    mc_lambda_max_tail,
-    mc_log_abs_det,
-    mc_restricted_det,
-    spherical_integral_mc,
-)
 from .spikes import spike_eigenvalues
 
 GRID_QUANTITIES = ("sigma_tot", "sigma_max", "regime", "gamma1", "tau", "eta")
@@ -335,16 +326,23 @@ def cmd_grid(res: Resolver) -> int:
         values = np.full(len(pts), -math.inf)
         ok = np.all(np.abs(pts) < 1.0, axis=1)
         values[ok] = spike_eigenvalues(params, pts[ok])[:, 0]
-    cells = [fmt_float(v) for v in np.asarray(values, dtype=float).tolist()]
-    if codes is not None:
-        cells = [f"{c},{code}" for c, code in zip(cells, codes)]
+    # fmt_float's rules, applied to the whole column at once
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValueError("refusing to emit NaN")
+    cells = [format(v, ".17g") for v in values.tolist()]
+    for i in np.flatnonzero(np.isinf(values)).tolist():
+        cells[i] = "+inf" if values[i] > 0 else "-inf"
 
     header = ",".join(f"m{j + 1}" for j in range(len(swept))) + ",value"
-    if quantity == "regime":
-        header += ",regime"
     labels = [[fmt_float(v) for v in t] for t in ticks]
-    prefixes = [",".join(combo) for combo in itertools.product(*labels)]
-    rows = [header] + [f"{pre},{c}" for pre, c in zip(prefixes, cells)]
+    prefixes = map(",".join, itertools.product(*labels))
+    if codes is None:
+        rows = [f"{pre},{c}" for pre, c in zip(prefixes, cells)]
+    else:
+        header += ",regime"
+        rows = [f"{pre},{c},{code}" for pre, c, code in zip(prefixes, cells, codes)]
+    rows.insert(0, header)
     _write_text(out, "\n".join(rows) + "\n")
     if out is not None:
         sidecar = _sidecar(
@@ -433,7 +431,17 @@ def cmd_experiment(res: Resolver) -> int:
     theory = None
     extras: dict = {}
 
+    # the stochastic layer is imported here, so that closed-form commands
+    # never load it
     if name in ("mc-det", "mc-lmax", "mc-restricted", "esd"):
+        from .rmt import (
+            GOESpec,
+            esd_distance,
+            mc_lambda_max_tail,
+            mc_log_abs_det,
+            mc_restricted_det,
+        )
+
         n = res.get("n", int, required=True)
         gamma = res.get("gamma", _conv_floats, default=())
         shift = res.get("shift", float, default=0.0)
@@ -462,6 +470,8 @@ def cmd_experiment(res: Resolver) -> int:
             extras.update(est.extras)
         inputs["trials"] = trials
     elif name == "spherical":
+        from .rmt import spherical_integral_mc
+
         n = res.get("n", int, required=True)
         gamma = res.get("gamma", _conv_floats, required=True)
         diag = res.get("diag", _conv_floats, required=True)
@@ -471,6 +481,8 @@ def cmd_experiment(res: Resolver) -> int:
         extras.update(est.extras)
         inputs.update({"n": n, "gamma": list(gamma), "diag": list(diag), "trials": trials})
     else:
+        from .kacrice import QuadratureError, count_expected, kac_rice_eval
+
         params = _model_params(res)
         n = res.get("n", int, required=True)
         overlap_windows = res.get_list("overlap_window", _conv_window)

@@ -319,20 +319,23 @@ def sigma_tot_projected(
 ) -> float | np.ndarray:
     """sup over x of sigma_tot_joint(m, x), in closed form.
 
-    Two branches, split by tau against tau_critical(p): below the threshold
+    Two branches, split by |tau| against tau_critical(p): below the threshold
     the optimal Hessian shift stays outside the bulk (narrow branch), at or
-    above it the optimizer sits against the bulk edge (wide branch).  A float
+    above it the optimizer sits against the bulk edge (wide branch).  tau
+    enters only through |tau| because phi_star is even, so the closed form
+    holds on the whole overlap ball, signed coordinates included.  A float
     for one point of shape (r,), an array of length N for a stack (N, r).
     """
     pts, single = _points(params, m)
     alpha, diag_sum, cross_sum, tau, _, _ = _profile_parts(params, pts)
     inside = (0.0 < alpha) & (alpha < 1.0)
     p = params.p
+    abs_tau = np.abs(tau)
     base = 0.5 * _libm(math.log1p, -np.where(inside, alpha, 0.0)) - diag_sum + cross_sum
     narrow = 0.5 * math.log(p - 1) + base + (p / (p - 2)) * tau * tau
-    u = math.sqrt(0.5 * p) * tau
+    u = math.sqrt(0.5 * p) * abs_tau
     wide = base - u * u + u * np.sqrt(1 + u * u) + _libm(math.asinh, u)
-    value = np.where(tau < tau_critical(p), narrow, wide)
+    value = np.where(abs_tau < tau_critical(p), narrow, wide)
     return _unwrap(np.where(inside, value, NEG_INF), single)
 
 

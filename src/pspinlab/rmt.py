@@ -69,7 +69,7 @@ class SpectralSample:
 
 def _goe(n: int, seed: int, trial: int) -> np.ndarray:
     """One bulk-normalized GOE(n) matrix from the stream (seed, trial)."""
-    a = np.random.default_rng((seed, trial)).normal(size=(n, n))
+    a = np.random.default_rng((seed, trial)).standard_normal(size=(n, n))
     return (a + a.T) / math.sqrt(2.0 * n)
 
 

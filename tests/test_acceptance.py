@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 Criterion 2 encodes two literal constants that the closed-form layer cannot
 meet as stated; the test is implemented faithfully and left red rather than
-loosened.  See the repository README for the analysis.
+loosened.  See the repository README for the analysis.  The signed-ball
+tests beside criterion 1 extend its check from the orthant to the whole
+overlap ball.
 """
 import math
 
@@ -75,6 +77,49 @@ def test_criterion_01_projection_equals_variational():
         worst = max(worst, abs(proj - (-float(res.fun))))
     _report(1, "projection equals variational max", worst <= 1e-8,
             f"worst |closed-form - numeric max| = {worst:.3e} over 1000 draws")
+
+
+def _numeric_max(params: ModelParams, m) -> float:
+    center = _offset(params, m)
+    res = minimize_scalar(
+        lambda x: -sigma_tot_joint(params, m, x),
+        bounds=(center - 30.0, center + 30.0),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return -float(res.fun)
+
+
+@pytest.mark.parametrize("lam, m, true_max", [
+    ((2.0,), (-0.9945,), -0.2919),
+    ((1.0,), (-0.9,), -0.0010),
+    ((2.0, 1.5), (-0.6, -0.6), -0.119),
+    ((2.0, 1.5), (0.6, -0.6), -2.650),
+])
+def test_signed_ball_projection_known_points(lam, m, true_max):
+    # odd k with negative overlaps gives tau < 0, where only |tau| may enter
+    params = ModelParams(p=3, r=len(lam), k=(3,) * len(lam), lam=lam)
+    proj = sigma_tot_projected(params, m)
+    assert proj == pytest.approx(_numeric_max(params, m), abs=1e-8)
+    assert proj == pytest.approx(true_max, abs=1e-3)
+
+
+def test_signed_ball_projection_equals_variational():
+    # criterion 1 on the whole overlap ball, with mixed orders k
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(300):
+        p = int(rng.integers(3, 6))
+        r = int(rng.integers(1, 4))
+        k = tuple(int(v) for v in rng.integers(3, 7, size=r))
+        lam = tuple(sorted(rng.uniform(0.0, 3.0, size=r), reverse=True))
+        params = ModelParams(p=p, r=r, k=k, lam=lam)
+        while True:
+            m = rng.uniform(-1.0, 1.0, size=r)
+            if 1e-4 < float(m @ m) < 0.999:
+                break
+        worst = max(worst, abs(sigma_tot_projected(params, m) - _numeric_max(params, m)))
+    assert worst <= 1e-8, f"worst |closed-form - numeric max| = {worst:.3e}"
 
 
 def test_criterion_02_zero_locus_constants():

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,82 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _fresh_interpreter(code, *argv):
+    """Runs code in a new interpreter that imports pspinlab from this checkout,
+    with sys.argv[1:] = argv; returns what it printed, parsed as JSON."""
+    import pspinlab
+
+    src = str(Path(pspinlab.__file__).resolve().parents[1])
+    prelude = "import json, sys\nsys.path.insert(0, sys.argv.pop(1))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(code), src, *map(str, argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_LOADED = """
+    def loaded():
+        return [k for k in ("pspinlab.kacrice", "pspinlab.rmt") if k in sys.modules]
+"""
+
+
+def test_closed_form_commands_leave_stochastic_layer_unloaded(tmp_path):
+    seen = _fresh_interpreter(_LOADED + """
+    import pspinlab.cli
+    seen = [loaded()]
+    grid = ["grid", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--quantity", "regime",
+            "--axis", "0:0.9:5", "--axis", "0:0.9:5", "--out", sys.argv[1] + "/g.csv"]
+    zeros = ["zeros", "--p", "3", "--r", "1", "--lam", "2.0", "--out", sys.argv[1] + "/z.json"]
+    for argv in (grid, zeros):
+        assert pspinlab.cli.main(argv) == 0
+        seen.append(loaded())
+    print(json.dumps(seen))
+    """, tmp_path)
+    assert seen == [[], [], []]
+
+
+def test_mc_det_leaves_kacrice_unloaded(tmp_path):
+    seen = _fresh_interpreter(_LOADED + """
+    import pspinlab.cli
+    argv = ["experiment", "--experiment", "mc-det", "--n", "20", "--trials", "5",
+            "--seed", "0", "--out", sys.argv[1] + "/d.json"]
+    assert pspinlab.cli.main(argv) == 0
+    print(json.dumps(loaded()))
+    """, tmp_path)
+    assert seen == ["pspinlab.rmt"]
+
+
+def test_every_exported_name_resolves_on_first_use():
+    doc = _fresh_interpreter("""
+    import pspinlab
+    resolved = [name for name in pspinlab.__all__ if getattr(pspinlab, name, None) is not None]
+    star = {}
+    exec("from pspinlab import *", star)
+    try:
+        pspinlab.no_such_name
+        unknown = "resolved"
+    except AttributeError:
+        unknown = "AttributeError"
+    print(json.dumps({
+        "all": pspinlab.__all__,
+        "resolved": resolved,
+        "star": sorted(star),
+        "undirected": sorted(set(pspinlab.__all__) - set(dir(pspinlab))),
+        "stored": sorted({"GOESpec", "kac_rice_eval"} & set(vars(pspinlab))),
+        "unknown": unknown,
+    }))
+    """)
+    assert doc["resolved"] == doc["all"]
+    assert set(doc["all"]) <= set(doc["star"])
+    assert doc["undirected"] == []
+    # resolved objects stay out of the package namespace, so patching a
+    # submodule's global is seen by every later lookup
+    assert doc["stored"] == []
+    assert doc["unknown"] == "AttributeError"
 
 
 def _kacrice(tmp_path, name, *extra):

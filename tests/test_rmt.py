@@ -178,6 +178,18 @@ def _oracle_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
     return np.linalg.eigvalsh(w)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 400])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_goe_draw_matches_normal_stream(n, seed):
+    # standard_normal and normal(0, 1) return the same bits, so the stream is
+    # the one recorded artifacts were drawn from
+    from pspinlab.rmt import _goe
+
+    for trial in range(3):
+        a = np.random.default_rng((seed, trial)).normal(size=(n, n))
+        assert np.array_equal(_goe(n, seed, trial), (a + a.T) / math.sqrt(2.0 * n))
+
+
 def _per_trial_logs(monkeypatch, estimator, spec, trials):
     """The per-trial log|det| values an estimator hands to its log-mean-exp."""
     from pspinlab import rmt
