@@ -223,8 +223,8 @@ def _conv_axis(v) -> tuple[float, float, int]:
     lo, hi, steps = _conv_range(v)
     if steps < 2:
         raise UsageError("axis needs at least 2 steps")
-    if not (0.0 <= lo < hi <= 1.0):
-        raise UsageError("axis range must satisfy 0 <= MIN < MAX <= 1")
+    if not (-1.0 <= lo < hi <= 1.0):
+        raise UsageError("axis range must satisfy -1 <= MIN < MAX <= 1")
     return lo, hi, steps
 
 
@@ -250,10 +250,7 @@ def _model_params(res: Resolver) -> ModelParams:
     lam = res.get("lam", _conv_floats, required=True)
     if k is None:
         k = (p,) * r
-    try:
-        return ModelParams(p=p, r=r, k=k, lam=lam)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return ModelParams(p=p, r=r, k=k, lam=lam)
 
 
 def _timestamp() -> str:
@@ -312,24 +309,26 @@ def cmd_grid(res: Resolver) -> int:
         pts[:, idx] = mesh.ravel()
 
     codes = None
-    if quantity == "sigma_tot":
-        values = sigma_tot_projected(params, pts)
-    elif quantity == "sigma_max":
-        values = sigma_max_projected(params, pts)
-    elif quantity == "regime":
-        values = sigma_tot_projected(params, pts)
-        codes = classify_regime(params, pts).tolist()
-    elif quantity in ("tau", "eta"):
-        values = getattr(aux_statistics(params, pts), quantity)
-    else:
-        # gamma1 is -inf where the perturbation degenerates (some |m_i| >= 1)
-        values = np.full(len(pts), -math.inf)
-        ok = np.all(np.abs(pts) < 1.0, axis=1)
-        values[ok] = spike_eigenvalues(params, pts[ok])[:, 0]
+    # a huge spike overflows the sums to inf and NaN, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        if quantity == "sigma_tot":
+            values = sigma_tot_projected(params, pts)
+        elif quantity == "sigma_max":
+            values = sigma_max_projected(params, pts)
+        elif quantity == "regime":
+            values = sigma_tot_projected(params, pts)
+            codes = classify_regime(params, pts).tolist()
+        elif quantity in ("tau", "eta"):
+            values = getattr(aux_statistics(params, pts), quantity)
+        else:
+            # gamma1 is -inf where the perturbation degenerates (some |m_i| >= 1)
+            values = np.full(len(pts), -math.inf)
+            ok = np.all(np.abs(pts) < 1.0, axis=1)
+            values[ok] = spike_eigenvalues(params, pts[ok])[:, 0]
     # fmt_float's rules, applied to the whole column at once
     values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
-        raise ValueError("refusing to emit NaN")
+        raise UsageError(f"{quantity} on this grid leaves the float range (NaN)")
     cells = [format(v, ".17g") for v in values.tolist()]
     for i in np.flatnonzero(np.isinf(values)).tolist():
         cells[i] = "+inf" if values[i] > 0 else "-inf"
@@ -509,27 +508,20 @@ def cmd_experiment(res: Resolver) -> int:
         if name == "kacrice-count":
             trials = res.get("trials", int, required=True)
             budget = res.get("budget", int, default=200)
-            try:
-                est = count_expected(
-                    params,
-                    n,
-                    trials,
-                    seed=seed,
-                    overlap_windows=overlap_windows,
-                    value_window=value_window,
-                    which=which,
-                    budget=budget,
-                )
-            except LinAlgError:  # a ValueError subclass, but not a usage error
-                raise
-            except ValueError as exc:
-                raise UsageError(str(exc))
+            est = count_expected(
+                params,
+                n,
+                trials,
+                seed=seed,
+                overlap_windows=overlap_windows,
+                value_window=value_window,
+                which=which,
+                budget=budget,
+            )
             inputs.update({"trials": trials, "budget": budget})
         else:
             inner = res.get("inner_trials", int, default=2048)
             batches = res.get("batches", int, default=8)
-            if which not in ("total", "max"):
-                raise UsageError("kacrice-formula supports which in {total, max}")
             try:
                 est = kac_rice_eval(
                     params,
@@ -647,7 +639,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(getattr(args, "config", None))
         res = Resolver(args, config)
         return _DISPATCH[args.command](res)
-    except UsageError as exc:
+    except LinAlgError:  # a ValueError subclass, but not a usage error
+        raise
+    except (UsageError, ValueError) as exc:
+        # the library raises ValueError for inputs it cannot take
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

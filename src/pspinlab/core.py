@@ -9,7 +9,8 @@ projections, boundaries, and zero sets in closed form.
 
 Conventions used throughout the package:
     overlaps m_i = <sigma, u_i> / sqrt(N), alpha(m) = sum_i m_i^2,
-    natural domain 0 < alpha < 1 (off-domain exponents are -inf);
+    the one domain is the open ball 0 < alpha < 1, signed coordinates
+    included (off-domain exponents are -inf);
     GOE matrices are normalized so the bulk spectrum converges to [-2, 2].
 
 Broadcasting: every function of an overlap point takes one point of shape
@@ -27,7 +28,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,7 +89,10 @@ class ModelParams:
 class RegimeLabel(IntEnum):
     """Classification of an overlap point by the sign structure of the exponent.
 
-    Integer values double as the numeric codes written to grid CSV files.
+    OUT_OF_DOMAIN means only that alpha = sum_i m_i^2 is not in (0, 1);
+    every point of the open ball, signed coordinates included, gets one of
+    the other four labels.  Integer values double as the numeric codes
+    written to grid CSV files.
     """
 
     OUT_OF_DOMAIN = 0
@@ -217,17 +221,29 @@ def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.nd
     return pts.reshape(-1, params.r), pts.ndim == 1
 
 
-def _profile_parts(params: ModelParams, m: Sequence[float] | np.ndarray):
-    """Shared profile sums: alpha, the two quadratic sums, tau, value center, shift.
-
-    Returns (alpha, diag_sum, cross_sum, tau, center, shift) where
+class _Profile(NamedTuple):
+    """Shared profile sums of an overlap point, or of each point of a stack:
+      alpha     = sum_i m_i^2,
       diag_sum  = (1/p) sum_i lam_i^2 k_i^2 m_i^{2k_i-2} (1 - m_i^2),
       cross_sum = (2/p) sum_{i<j} lam_i lam_j k_i k_j m_i^{k_i} m_j^{k_j},
       tau       = (1/p) sum_i lam_i k_i m_i^{k_i},
       center    = sum_i lam_i m_i^{k_i},
-      shift     = sum_i lam_i (1 - k_i/p) m_i^{k_i};
-    floats for one point, arrays of length N for a stack.
+      shift     = sum_i lam_i (1 - k_i/p) m_i^{k_i},
+      inside    = whether 0 < alpha < 1, the one overlap domain.
     """
+
+    alpha: float | np.ndarray
+    diag_sum: float | np.ndarray
+    cross_sum: float | np.ndarray
+    tau: float | np.ndarray
+    center: float | np.ndarray
+    shift: float | np.ndarray
+    inside: bool | np.ndarray
+
+
+def _profile_parts(params: ModelParams, m: Sequence[float] | np.ndarray) -> _Profile:
+    """The _Profile of m: floats and a bool for one point, arrays of length
+    N for a stack."""
     pts, single = _points(params, m)
     p = params.p
     alpha = diag_sum = tau = center = 0.0
@@ -248,8 +264,11 @@ def _profile_parts(params: ModelParams, m: Sequence[float] | np.ndarray):
             cross_sum = cross_sum + powers[i] * powers[j]
     cross_sum = cross_sum * (2.0 / p)
     shift = center - tau
+    inside = (0.0 < alpha) & (alpha < 1.0)
     parts = (alpha, diag_sum, cross_sum, tau, center, shift)
-    return tuple(float(v[0]) for v in parts) if single else parts
+    if single:
+        return _Profile(*(float(v[0]) for v in parts), bool(inside[0]))
+    return _Profile(*parts, inside)
 
 
 def _along(x, *values) -> tuple:
@@ -266,8 +285,7 @@ def _joint(params: ModelParams, m: Sequence[float] | np.ndarray, x, total: bool 
     whether 0 < alpha < 1 (a bool for one point, an array (N,) for a stack),
     from one pass over the profile sums."""
     parts = _profile_parts(params, m)
-    inside = (0.0 < parts[0]) & (parts[0] < 1.0)
-    alpha, diag_sum, cross_sum, tau, center, shift, within = _along(x, *parts, inside)
+    alpha, diag_sum, cross_sum, tau, center, shift, within = _along(x, *parts)
     p = params.p
     base = (
         0.5 * (math.log(p - 1) + 1)
@@ -281,7 +299,7 @@ def _joint(params: ModelParams, m: Sequence[float] | np.ndarray, x, total: bool 
         return s
     y = x - shift
     e, t = y - tau, math.sqrt(2 * p / (p - 1)) * y
-    return s, _select(within, base - e * e + phi_star(t), NEG_INF), t, inside
+    return s, _select(within, base - e * e + phi_star(t), NEG_INF), t, parts.inside
 
 
 def s_func(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
@@ -294,7 +312,7 @@ def s_func(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | n
 def y_shift(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
     """Recentered value coordinate: x minus the deterministic part not seen by
     the gradient trace."""
-    return _scalar(x - _along(x, _profile_parts(params, m)[5])[0])
+    return _scalar(x - _along(x, _profile_parts(params, m).shift)[0])
 
 
 def t_func(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
@@ -327,16 +345,16 @@ def sigma_tot_projected(
     for one point of shape (r,), an array of length N for a stack (N, r).
     """
     pts, single = _points(params, m)
-    alpha, diag_sum, cross_sum, tau, _, _ = _profile_parts(params, pts)
-    inside = (0.0 < alpha) & (alpha < 1.0)
+    prof = _profile_parts(params, pts)
     p = params.p
-    abs_tau = np.abs(tau)
-    base = 0.5 * _libm(math.log1p, -np.where(inside, alpha, 0.0)) - diag_sum + cross_sum
-    narrow = 0.5 * math.log(p - 1) + base + (p / (p - 2)) * tau * tau
+    abs_tau = np.abs(prof.tau)
+    a = np.where(prof.inside, prof.alpha, 0.0)
+    base = 0.5 * _libm(math.log1p, -a) - prof.diag_sum + prof.cross_sum
+    narrow = 0.5 * math.log(p - 1) + base + (p / (p - 2)) * prof.tau * prof.tau
     u = math.sqrt(0.5 * p) * abs_tau
     wide = base - u * u + u * np.sqrt(1 + u * u) + _libm(math.asinh, u)
     value = np.where(abs_tau < tau_critical(p), narrow, wide)
-    return _unwrap(np.where(inside, value, NEG_INF), single)
+    return _unwrap(np.where(prof.inside, value, NEG_INF), single)
 
 
 def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxStatistics:
@@ -344,7 +362,8 @@ def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxS
     by the phase analysis."""
     pts, single = _points(params, m)
     p = params.p
-    alpha, _, _, tau, _, _ = _profile_parts(params, pts)
+    prof = _profile_parts(params, pts)
+    alpha, tau = prof.alpha, prof.tau
     sq = np.zeros(len(pts))
     eta = np.zeros(len(pts))
     for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
@@ -357,7 +376,7 @@ def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxS
 
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.where(tau != 0.0, alpha * sq / (tau * tau), math.nan)
-        inside = (0.0 < alpha) & (alpha < 1.0) & ~np.isnan(beta)
+        inside = prof.inside & ~np.isnan(beta)
         a = np.where(inside, alpha, 0.5)
         den = (p - 1) / (p - 2) - beta / a
         num = -0.5 * _libm(math.log, (1 - a) * (p - 1))
@@ -386,14 +405,15 @@ def _zero_conditions_hold(
 ) -> bool | np.ndarray:
     """Check the two exact-zero conditions of the wide branch at tolerance tol.
 
-    (a) the values lam_i k_i m_i^{k_i-2} / p agree across nonzero coordinates;
-    (b) the effective shift matches alpha / (2 sqrt(1 - alpha)) in edge units.
+    (a) the signed values lam_i k_i m_i^{k_i-2} / p agree across nonzero
+        coordinates;
+    (b) the effective shift |tau| matches alpha / (2 sqrt(1 - alpha)) in
+        edge units.
     A bool for one point, a boolean array for a stack.
     """
     pts, single = _points(params, m)
     p = params.p
-    alpha, _, _, tau, _, _ = _profile_parts(params, pts)
-    inside = (0.0 < alpha) & (alpha < 1.0)
+    prof = _profile_parts(params, pts)
     hi = np.full(len(pts), -math.inf)
     lo = np.full(len(pts), math.inf)
     for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
@@ -401,9 +421,9 @@ def _zero_conditions_hold(
         nonzero = m_i != 0.0
         hi = np.where(nonzero, np.maximum(hi, d), hi)
         lo = np.where(nonzero, np.minimum(lo, d), lo)
-    a = np.where(inside, alpha, 0.0)
-    resid = math.sqrt(0.5 * p) * tau - 0.5 * a / np.sqrt(1 - a)
-    held = inside & (lo <= hi) & ~(hi - lo > tol) & (np.abs(resid) <= tol)
+    a = np.where(prof.inside, prof.alpha, 0.0)
+    resid = math.sqrt(0.5 * p) * np.abs(prof.tau) - 0.5 * a / np.sqrt(1 - a)
+    held = prof.inside & (lo <= hi) & ~(hi - lo > tol) & (np.abs(resid) <= tol)
     return _unwrap(held, single)
 
 
@@ -412,25 +432,27 @@ def classify_regime(
 ) -> RegimeLabel | np.ndarray:
     """Label an overlap point by the sign structure of the projected exponent.
 
-    Points outside [0, 1]^r or with alpha outside (0, 1) are OUT_OF_DOMAIN.
-    A point on the wide branch satisfying the exact-zero conditions within tol
-    is SUBEXPONENTIAL_ZERO_LOCUS; otherwise the sign of the projected exponent
-    decides, with |value| <= tol reported as ZERO_BOUNDARY.  A RegimeLabel
-    for one point, an integer array of label codes for a stack.
+    The domain is the open ball: points with alpha outside (0, 1) are
+    OUT_OF_DOMAIN, and nothing else is.  A point on the wide branch
+    (|tau| >= tau_c - tol) satisfying the exact-zero conditions within tol
+    is SUBEXPONENTIAL_ZERO_LOCUS; otherwise the sign of the projected
+    exponent decides, with |value| <= tol reported as ZERO_BOUNDARY.  Like
+    sigma_tot_projected, the label depends on tau only through |tau|, so
+    when every spike has the same degree, m and -m get the same label.  A
+    RegimeLabel for one point, an integer array of label codes for a stack.
     """
     pts, single = _points(params, m)
-    alpha, _, _, tau, _, _ = _profile_parts(params, pts)
-    inside = ~np.any(pts < 0.0, axis=1) & (0.0 < alpha) & (alpha < 1.0)
+    prof = _profile_parts(params, pts)
     value = sigma_tot_projected(params, pts)
     codes = np.where(value > 0, int(RegimeLabel.POSITIVE), int(RegimeLabel.NEGATIVE))
     codes[np.abs(value) <= tol] = RegimeLabel.ZERO_BOUNDARY
-    wide = inside & (tau >= tau_critical(params.p) - tol)
+    wide = prof.inside & (np.abs(prof.tau) >= tau_critical(params.p) - tol)
     codes[wide] = np.where(
         _zero_conditions_hold(params, pts[wide], tol),
         int(RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS),
         codes[wide],
     )
-    codes[~inside] = RegimeLabel.OUT_OF_DOMAIN
+    codes[~prof.inside] = RegimeLabel.OUT_OF_DOMAIN
     return RegimeLabel(int(codes[0])) if single else codes
 
 
@@ -492,6 +514,14 @@ def zero_locus_solve(
     is negative.  Each root is the first float at which the residual's sign
     has flipped, found by bisection on the bit patterns of the slopes; a
     large root that rounds into alpha = 1 (a huge spike) is dropped.
+
+    The profiles returned lie in the orthant.  On the whole ball the signed
+    solutions on the pattern are exactly their sign images that keep
+    condition (a): each even-k_i coordinate may take either sign, the odd-k_i
+    coordinates stay positive, and the odd-k_i coordinates may all be negated
+    together only when the pattern has no even-k_i coordinate (the common
+    slope then turns negative).  Condition (b) holds on every such image,
+    since tau is the slope times alpha and enters only through |tau|.
     """
     if pattern is None:
         pattern = tuple(range(params.r))

@@ -441,6 +441,17 @@ def _window_ok(value: float, window) -> bool:
     return window is None or (window[0] <= value <= window[1])
 
 
+def _overlap_windows(params: ModelParams, overlap_windows: Sequence | None) -> list:
+    """One window per overlap coordinate (None for no window); a list of
+    another length raises ValueError rather than leave overlaps unwindowed."""
+    if overlap_windows is None:
+        return [None] * params.r
+    windows = list(overlap_windows)
+    if len(windows) != params.r:
+        raise ValueError(f"need {params.r} overlap windows, got {len(windows)}")
+    return windows
+
+
 def count_expected(
     params: ModelParams,
     n: int,
@@ -459,7 +470,9 @@ def count_expected(
     runs the budgeted multistart Newton of find_critical_points, with the
     starts of many landscapes advanced together in one lockstep stack; it
     gives the same points as a search of each landscape alone.  budget < 1
-    raises ValueError at n >= 3.
+    raises ValueError at n >= 3.  overlap_windows, when given, holds one
+    (lo, hi) window or None per coordinate; a list of another length raises
+    ValueError.
 
     which is "total", a Morse index, or "max" (index n - 1); index-resolved
     counts exclude degenerate points, whose per-trial mean rides along in
@@ -472,6 +485,7 @@ def count_expected(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    windows = _overlap_windows(params, overlap_windows)
     if which == "max":
         which = n - 1
     elif isinstance(which, str) and which != "total":
@@ -488,12 +502,7 @@ def count_expected(
         c = 0
         dc = 0
         for pt in pts:
-            if not all(
-                _window_ok(ov, win)
-                for ov, win in zip(
-                    pt.overlaps, overlap_windows or [None] * params.r
-                )
-            ):
+            if not all(_window_ok(ov, win) for ov, win in zip(pt.overlaps, windows)):
                 continue
             if not _window_ok(pt.value, value_window):
                 continue
@@ -591,9 +600,7 @@ def kac_rice_eval(
         raise ValueError("inner_trials must be at least the number of batches")
 
     r = params.r
-    windows = list(overlap_windows) if overlap_windows is not None else [None] * r
-    if len(windows) != r:
-        raise ValueError(f"need {r} overlap windows, got {len(windows)}")
+    windows = _overlap_windows(params, overlap_windows)
 
     lam_sum = sum(params.lam)
     if value_window is None:

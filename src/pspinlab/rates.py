@@ -201,9 +201,8 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) ->
     pad their breakpoints to r + 1 and all take one sigma_max_joint pass.
     """
     pts, single = _points(params, m)
-    alpha, _, _, tau, _, shift = _profile_parts(params, pts)
-    inside = (0.0 < alpha) & (alpha < 1.0)
-    pts, tau, shift = pts[inside], tau[inside], shift[inside]
+    prof = _profile_parts(params, pts)
+    pts, tau, shift = pts[prof.inside], prof.tau[prof.inside], prof.shift[prof.inside]
     p = params.p
     c = math.sqrt(2 * p / (p - 1))
     gam = spike_eigenvalues(params, pts)
@@ -230,7 +229,7 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) ->
     # (c * (x - shift) is t_func(params, m, x))
     while (low := c * (x - shift[:, None]) < 2.0).any():
         x = np.where(low, np.nextafter(x, INF), x)
-    out = np.full(len(inside), -INF)
+    out = np.full(len(prof.inside), -INF)
     # fmax skips the NaN of unused candidates
-    out[inside] = np.fmax.reduce(sigma_max_joint(params, pts, x), axis=1, initial=-INF)
+    out[prof.inside] = np.fmax.reduce(sigma_max_joint(params, pts, x), axis=1, initial=-INF)
     return _unwrap(out, single)

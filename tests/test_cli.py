@@ -7,8 +7,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pspinlab import ModelParams, RegimeLabel, sigma_tot_projected
 from pspinlab.cli import fmt_float, main, to_json
 
 
@@ -470,9 +472,70 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
     ["rate", "--gamma", "1.5", "--t-range", "3:2:5"],
     ["rate", "--gamma", "1.5", "--t", "abc"],
     ["rate", "--gamma", "1.5", "--t-range", "2:3:0"],
+    ["classify", "--p", "3", "--r", "2", "--lam", "1,1", "--m", "0.5"],
+    ["zeros", "--p", "3", "--r", "1", "--lam", "2", "--pattern", "3"],
+    ["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "2", "--lam", "1,1",
+     "--n", "2", "--seed", "0"],
+    ["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "1", "--lam", "1",
+     "--n", "2", "--inner-trials", "4", "--batches", "8", "--seed", "0"],
+    ["experiment", "--experiment", "mc-det", "--n", "0", "--trials", "2", "--seed", "0"],
+    ["experiment", "--experiment", "spherical", "--n", "3", "--gamma", "0.5", "--diag", "1,2",
+     "--trials", "2", "--seed", "0"],
+    # one window at r = 2 would leave m2 unwindowed
+    ["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "2", "--lam", "1,0.5",
+     "--n", "2", "--trials", "2", "--overlap-window", "0:1", "--seed", "0"],
 ])
 def test_bad_range_and_value_exit_code(argv):
     assert run_cli(argv) == 2
+
+
+def test_grid_overflow_exit_code():
+    # tau^2 overflows at lam = 1e300 and the sigma_tot column comes out NaN
+    argv = ["grid", "--p", "3", "--r", "1", "--lam", "1e300", "--quantity", "sigma_tot",
+            "--axis", "0:1:5"]
+    proc = subprocess.run([sys.executable, "-m", "pspinlab.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "usage error: sigma_tot on this grid leaves the float range (NaN)"
+    ]
+
+
+def test_signed_axis_regime_mirrors(tmp_path):
+    # at odd k the signed half flips tau, which enters only through |tau|
+    out = tmp_path / "regime.csv"
+    rc = run_cli(["grid", "--p", "3", "--r", "1", "--lam", "2.0", "--quantity", "regime",
+                  "--axis=-1:1:41", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 41
+    ticks = [float(row[0]) for row in rows]
+    codes = [int(row[2]) for row in rows]
+    assert codes == codes[::-1]
+    assert codes[0] == codes[20] == RegimeLabel.OUT_OF_DOMAIN
+    assert {RegimeLabel.POSITIVE, RegimeLabel.NEGATIVE} <= set(codes[:20])
+    # -1 + 2 j / 40 rounds differently from its mirror (-0.9 against
+    # 0.8999999999999999), so each value is held against the exact mirror
+    # of its own tick
+    params = ModelParams(p=3, r=1, k=(3,), lam=(2.0,))
+    mirrored = sigma_tot_projected(params, -np.array(ticks)[:, None])
+    assert [row[1] for row in rows] == [fmt_float(v) for v in mirrored.tolist()]
+    for j in range(41):
+        if ticks[j] == -ticks[40 - j]:
+            assert rows[j][1] == rows[40 - j][1]
+
+
+def test_classify_negative_overlap(tmp_path):
+    out = tmp_path / "c.json"
+    rc = run_cli(["classify", "--p", "3", "--r", "1", "--lam", "2.0", "--m=-0.9",
+                  "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["label"] == "NEGATIVE"
+    assert doc["code"] == 3
+    assert doc["sigma_tot"] == -0.51685433208997389
+    assert doc["aux"]["tau"] == -1.4580000000000002
 
 
 def test_grid_with_every_coordinate_fixed_exit_code(tmp_path):

@@ -1,4 +1,5 @@
 """Closed-form layer: frozen-value checks and structural properties."""
+import itertools
 import math
 
 import numpy as np
@@ -345,9 +346,43 @@ def test_classify_labels():
     assert classify_regime(half, [0.5]) is RegimeLabel.POSITIVE
     assert classify_regime(half, [0.9]) is RegimeLabel.NEGATIVE
     assert classify_regime(half, [1.2]) is RegimeLabel.OUT_OF_DOMAIN
-    assert classify_regime(half, [-0.2]) is RegimeLabel.OUT_OF_DOMAIN
+    assert classify_regime(half, [-0.2]) is RegimeLabel.POSITIVE
     big_root = zero_locus_solve(P31)[1]
     assert classify_regime(P31, big_root) is RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS
+
+
+@pytest.mark.parametrize("p,k,lam", [
+    (3, (3,), (2.0,)),
+    (3, (3, 3), (2.0, 1.5)),
+    (4, (4, 3), (2.5, 2.0)),
+    (4, (4, 3, 5), (3.0, 2.5, 2.2)),
+    (4, (4, 4), (3.0, 2.5)),
+])
+def test_signed_zero_locus_images(p, k, lam):
+    """Sign flips of a large orthant root stay on the zero locus exactly when
+    zero_locus_solve's docstring admits them: even-k_i coordinates take
+    either sign, and the odd-k_i ones are all positive, or all negative when
+    the pattern has no even-k_i coordinate."""
+    params = ModelParams(p=p, r=len(k), k=k, lam=lam)
+    checked = 0
+    for size in range(1, params.r + 1):
+        for pattern in itertools.combinations(range(params.r), size):
+            roots = zero_locus_solve(params, pattern)
+            if len(roots) < 2:
+                continue
+            odd = [i for i in pattern if k[i] % 2]
+            for signs in itertools.product((1.0, -1.0), repeat=size):
+                m = list(roots[1])
+                for i, sign in zip(pattern, signs):
+                    m[i] *= sign
+                odd_signs = {math.copysign(1.0, m[i]) for i in odd}
+                admitted = odd_signs <= {1.0} or (len(odd) == size and odd_signs == {-1.0})
+                label = classify_regime(params, m)
+                assert (label is RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS) == admitted, (m, label)
+                if admitted:
+                    assert abs(sigma_tot_projected(params, m)) <= 1e-14
+                checked += 1
+    assert checked > 0
 
 
 def test_classify_zero_boundary():

@@ -586,3 +586,14 @@ def test_euler_mismatch_counts_incomplete_landscapes():
     # chi(S^2) = 2
     sparse = count_expected(P0, 3, 10, seed=73, budget=1)
     assert sparse.extras["euler_mismatch_landscapes"] == 10
+
+
+def test_count_rejects_wrong_number_of_overlap_windows():
+    # zipping one window against two overlaps would leave m2 unwindowed
+    params = ModelParams(p=3, r=2, k=(3, 3), lam=(1.0, 0.5))
+    for windows in ([(0.0, 1.0)], [(0.0, 1.0)] * 3, []):
+        with pytest.raises(ValueError):
+            count_expected(params, 2, 2, seed=0, overlap_windows=windows)
+    one = count_expected(params, 2, 2, seed=0, overlap_windows=[(0.0, 1.0), None])
+    both = count_expected(params, 2, 2, seed=0, overlap_windows=[(0.0, 1.0), (-1.0, 1.0)])
+    assert one.value == both.value
