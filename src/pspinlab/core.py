@@ -19,7 +19,9 @@ its N points, through one body.  s_func, y_shift, t_func and sigma_tot_joint
 also take a value x: a float or any array for one point, for a stack an
 array whose leading axis runs over its points.  edge_area and phi_star take
 floats or arrays.  Powers, logarithms and asinh go through the C library one
-float at a time (_libm), so a stack has the bits of its points one by one.
+float at a time (_libm), so a stack has the bits of its points one by one;
+the coordinate powers of a stack are taken once per distinct coordinate
+value (_distinct), which on a tensor grid is once per tick.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from types import EllipsisType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -208,17 +211,33 @@ def _saturating(fn, x: float, *args) -> float:
             return float(np.power(x, *args))
 
 
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
+    """The bitwise-distinct values of a 1-D float array and the index that
+    scatters them back: f(values)[index] is f(column) for any f that acts
+    entry by entry, paying f once per value.  Keyed on the int64 view, since
+    a float unique merges -0.0 with 0.0, and pow(-0.0, 3) is -0.0.  A column
+    of one entry comes back as it is, with the index ..., so a one-point call
+    pays no sort.
+    """
+    if len(column) < 2:
+        return column, ...
+    keys, index = np.unique(column.view(np.int64), return_inverse=True)
+    return keys.view(float), index
+
+
 def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
     """Overlap points as an (N, r) float array, and whether m was one point.
 
     m is one point of shape (r,) or a stack of shape (N, r).
     """
     pts = np.asarray(m, dtype=float)
-    if pts.ndim not in (1, 2) or pts.shape[-1] != params.r:
+    if pts.ndim == 2 and pts.shape[1] == params.r:
+        return pts, False
+    if pts.shape != (params.r,):
         raise ValueError(
             f"overlap points have shape {pts.shape}, expected (r,) or (N, r) with r = {params.r}"
         )
-    return pts.reshape(-1, params.r), pts.ndim == 1
+    return pts.reshape(1, params.r), True
 
 
 class _Profile(NamedTuple):
@@ -251,23 +270,24 @@ def _profile_parts(params: ModelParams, m: Sequence[float] | np.ndarray) -> _Pro
     for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
         mi2 = m_i * m_i
         alpha = alpha + mi2
-        mk = _libm(pow, m_i, k_i)
+        values, back = _distinct(m_i)
+        mk = _libm(pow, values, k_i)[back]
         powers.append(lam_i * k_i * mk)
-        diag_sum = diag_sum + lam_i * lam_i * k_i * k_i * _libm(pow, m_i, 2 * k_i - 2) * (1 - mi2)
+        diag = _libm(pow, values, 2 * k_i - 2)
+        diag_sum = diag_sum + lam_i * lam_i * k_i * k_i * diag[back] * (1 - mi2)
         tau = tau + lam_i * k_i * mk
         center = center + lam_i * mk
     diag_sum = diag_sum / p
     tau = tau / p
     cross_sum = np.zeros(len(pts))
-    for i in range(len(powers)):
-        for j in range(i + 1, len(powers)):
-            cross_sum = cross_sum + powers[i] * powers[j]
+    for a, b in itertools.combinations(powers, 2):
+        cross_sum = cross_sum + a * b
     cross_sum = cross_sum * (2.0 / p)
     shift = center - tau
     inside = (0.0 < alpha) & (alpha < 1.0)
     parts = (alpha, diag_sum, cross_sum, tau, center, shift)
     if single:
-        return _Profile(*(float(v[0]) for v in parts), bool(inside[0]))
+        return _Profile(*[v.item() for v in parts], inside.item())
     return _Profile(*parts, inside)
 
 
@@ -345,7 +365,11 @@ def sigma_tot_projected(
     for one point of shape (r,), an array of length N for a stack (N, r).
     """
     pts, single = _points(params, m)
-    prof = _profile_parts(params, pts)
+    return _unwrap(_sigma_tot(params, _profile_parts(params, pts)), single)
+
+
+def _sigma_tot(params: ModelParams, prof: _Profile) -> np.ndarray:
+    """sigma_tot_projected from the _Profile of a stack, an array over its points."""
     p = params.p
     abs_tau = np.abs(prof.tau)
     a = np.where(prof.inside, prof.alpha, 0.0)
@@ -354,7 +378,7 @@ def sigma_tot_projected(
     u = math.sqrt(0.5 * p) * abs_tau
     wide = base - u * u + u * np.sqrt(1 + u * u) + _libm(math.asinh, u)
     value = np.where(abs_tau < tau_critical(p), narrow, wide)
-    return _unwrap(np.where(prof.inside, value, NEG_INF), single)
+    return np.where(prof.inside, value, NEG_INF)
 
 
 def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxStatistics:
@@ -367,7 +391,8 @@ def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxS
     sq = np.zeros(len(pts))
     eta = np.zeros(len(pts))
     for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
-        sq = sq + _libm(pow, lam_i * k_i * _libm(pow, m_i, k_i - 1), 2)
+        values, back = _distinct(m_i)
+        sq = sq + _libm(pow, lam_i * k_i * _libm(pow, values, k_i - 1), 2)[back]
         active = m_i != 0.0
         if active.any():  # the weight can overflow; a point with m_i = 0 never needs it
             weight = _saturating(pow, lam_i, -2.0 / (k_i - 2)) if lam_i > 0 else math.inf
@@ -401,7 +426,10 @@ def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxS
 
 
 def _zero_conditions_hold(
-    params: ModelParams, m: Sequence[float] | np.ndarray, tol: float
+    params: ModelParams,
+    m: Sequence[float] | np.ndarray,
+    tol: float,
+    prof: _Profile | None = None,
 ) -> bool | np.ndarray:
     """Check the two exact-zero conditions of the wide branch at tolerance tol.
 
@@ -409,15 +437,18 @@ def _zero_conditions_hold(
         coordinates;
     (b) the effective shift |tau| matches alpha / (2 sqrt(1 - alpha)) in
         edge units.
-    A bool for one point, a boolean array for a stack.
+    prof is the stack profile of m when the caller has it already.  A bool
+    for one point, a boolean array for a stack.
     """
     pts, single = _points(params, m)
     p = params.p
-    prof = _profile_parts(params, pts)
+    if prof is None:
+        prof = _profile_parts(params, pts)
     hi = np.full(len(pts), -math.inf)
     lo = np.full(len(pts), math.inf)
     for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
-        d = (k_i / p) * lam_i * _libm(pow, m_i, k_i - 2)
+        values, back = _distinct(m_i)
+        d = (k_i / p) * lam_i * _libm(pow, values, k_i - 2)[back]
         nonzero = m_i != 0.0
         hi = np.where(nonzero, np.maximum(hi, d), hi)
         lo = np.where(nonzero, np.minimum(lo, d), lo)
@@ -440,15 +471,19 @@ def classify_regime(
     sigma_tot_projected, the label depends on tau only through |tau|, so
     when every spike has the same degree, m and -m get the same label.  A
     RegimeLabel for one point, an integer array of label codes for a stack.
+    tol must be >= 0: a negative or NaN tol leaves the last two labels
+    unreachable, and raises ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     pts, single = _points(params, m)
     prof = _profile_parts(params, pts)
-    value = sigma_tot_projected(params, pts)
+    value = _sigma_tot(params, prof)
     codes = np.where(value > 0, int(RegimeLabel.POSITIVE), int(RegimeLabel.NEGATIVE))
     codes[np.abs(value) <= tol] = RegimeLabel.ZERO_BOUNDARY
     wide = prof.inside & (np.abs(prof.tau) >= tau_critical(params.p) - tol)
     codes[wide] = np.where(
-        _zero_conditions_hold(params, pts[wide], tol),
+        _zero_conditions_hold(params, pts[wide], tol, _Profile(*(v[wide] for v in prof))),
         int(RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS),
         codes[wide],
     )
@@ -499,9 +534,10 @@ def zero_locus_solve(
 ) -> list[tuple[float, ...]]:
     """All overlap profiles solving the exact-zero conditions on a support pattern.
 
-    pattern lists the coordinates allowed to be nonzero (default: all of them).
-    Coordinates off the pattern are pinned to zero.  The list is ordered by
-    increasing slope (hence increasing overlaps) and holds 0, 1 or 2 profiles.
+    pattern lists the coordinates allowed to be nonzero (default: all of them),
+    each at most once; a repeated index raises ValueError.  Coordinates off
+    the pattern are pinned to zero.  The list is ordered by increasing slope
+    (hence increasing overlaps) and holds 0, 1 or 2 profiles.
 
     On the pattern alpha = sum_i m_i^2 grows with the common slope delta,
     and the residual sqrt(2p) delta sqrt(1 - alpha) - 1 is -1 at delta = 0
@@ -525,11 +561,13 @@ def zero_locus_solve(
     """
     if pattern is None:
         pattern = tuple(range(params.r))
-    pattern = tuple(sorted(set(int(i) for i in pattern)))
+    pattern = tuple(sorted(int(i) for i in pattern))
     if not pattern:
         return []
     if pattern[0] < 0 or pattern[-1] >= params.r:
         raise ValueError(f"pattern indices must lie in [0, {params.r - 1}]")
+    if len(set(pattern)) < len(pattern):
+        raise ValueError(f"pattern repeats an index: {list(pattern)}")
     if any(params.lam[i] == 0.0 for i in pattern):
         return []
 

@@ -473,7 +473,15 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
     ["rate", "--gamma", "1.5", "--t", "abc"],
     ["rate", "--gamma", "1.5", "--t-range", "2:3:0"],
     ["classify", "--p", "3", "--r", "2", "--lam", "1,1", "--m", "0.5"],
+    # a negative or NaN tol would hide the zero-locus label of this point
+    ["classify", "--p", "3", "--r", "1", "--lam", "2", "--m", "0.9779751860797076",
+     "--tol=-1e-6"],
+    ["classify", "--p", "3", "--r", "1", "--lam", "2", "--m", "0.9779751860797076",
+     "--tol=nan"],
     ["zeros", "--p", "3", "--r", "1", "--lam", "2", "--pattern", "3"],
+    # the artifact would repeat the raw list beside the solutions of its set
+    ["zeros", "--p", "3", "--r", "2", "--lam", "2,1.5", "--pattern", "0,0"],
+    ["zeros", "--p", "3", "--r", "2", "--lam", "2,1.5", "--pattern", "0,1,1"],
     ["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "2", "--lam", "1,1",
      "--n", "2", "--seed", "0"],
     ["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "1", "--lam", "1",

@@ -35,7 +35,8 @@ from pspinlab import (
     y_shift,
     zero_locus_solve,
 )
-from pspinlab.core import _profile_parts, _zero_conditions_hold
+from pspinlab import core
+from pspinlab.core import _distinct, _libm, _profile_parts, _zero_conditions_hold
 
 P31 = ModelParams(p=3, r=1, k=(3,), lam=(2.0,))
 P32 = ModelParams(p=3, r=2, k=(3, 3), lam=(2.0, 1.5))
@@ -143,6 +144,12 @@ def test_zero_locus_r2_pattern():
     assert 2.0 * big[0] == pytest.approx(1.5 * big[1], abs=1e-10)
     assert big[0] <= big[1]
     assert abs(sigma_tot_projected(P32, big)) < 1e-9
+
+
+@pytest.mark.parametrize("pattern", [(0, 0), (1, 0, 1)])
+def test_zero_locus_rejects_repeated_index(pattern):
+    with pytest.raises(ValueError):
+        zero_locus_solve(P32, pattern)
 
 
 def test_zero_locus_r2_no_joint_solution():
@@ -308,6 +315,63 @@ def test_stack_matches_single_points(data):
             assert _bits(f(g, ts)) == _bits([f(g, t) for t in ts.tolist()])
 
 
+def test_distinct_powers_match_libm():
+    """Powers taken once per distinct value and scattered back equal _libm
+    on the whole column, bit for bit: repeats, both zeros, infinities, NaN,
+    the smallest subnormal, negative bases and a pow overflow (1e200^3)."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -0.7, 1e200, -1e200]
+    column = np.array(special * 3 + [0.25, -0.25, 0.5, 0.5, 0.999, -0.999])
+    for exponent in (0, 1, 2, 3, 4, 7, 10):
+        values, back = _distinct(column)
+        assert len(values) == len(special) + 5
+        assert _bits(_libm(pow, values, exponent)[back]) == _bits(_libm(pow, column, exponent))
+        one = column[5:6]
+        values, back = _distinct(one)
+        assert _bits(_libm(pow, values, exponent)[back]) == _bits(_libm(pow, one, exponent))
+
+
+def _tensor_grid(ticks):
+    """The (len(ticks)^2, 2) stack of a two-axis grid, as `pspinlab grid` builds it."""
+    return np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def test_grid_pays_pow_once_per_tick(monkeypatch):
+    """On a 200 x 200 r = 2 tensor grid every power site calls pow at most
+    once per tick, where one call per cell would be 40,000."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(core, "pow", counting_pow, raising=False)
+    pts = _tensor_grid(np.linspace(-1.0, 1.0, 200))
+    # sites: two powers per coordinate in the profile; the profile plus
+    # condition (a) on the wide rows; the profile, the inner and outer power
+    # of the slope term and the eta weight
+    for f, sites in ((sigma_tot_projected, 4), (classify_regime, 6), (aux_statistics, 10)):
+        calls.clear()
+        f(P32, pts)
+        assert 0 < len(calls) <= 200 * sites, f.__name__
+
+
+def test_classify_regime_builds_one_profile(monkeypatch):
+    calls = []
+    build = core._profile_parts
+
+    def counting_parts(params, m):
+        calls.append(len(np.atleast_2d(m)))
+        return build(params, m)
+
+    monkeypatch.setattr(core, "_profile_parts", counting_parts)
+    pts = _tensor_grid(np.linspace(0.0, 1.0, 60))
+    codes = classify_regime(P32, pts)
+    assert calls == [len(pts)]
+    # some rows reach the wide branch, where the zero conditions are checked
+    assert (np.abs(aux_statistics(P32, pts).tau) >= tau_critical(3)).any()
+    assert {RegimeLabel.POSITIVE, RegimeLabel.NEGATIVE} <= set(codes.tolist())
+
+
 def test_single_point_returns_python_scalars():
     m = [0.5, 0.2]
     assert type(sigma_tot_projected(P32, m)) is float
@@ -383,6 +447,15 @@ def test_signed_zero_locus_images(p, k, lam):
                     assert abs(sigma_tot_projected(params, m)) <= 1e-14
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("tol", [-1e-6, math.nan])
+def test_classify_rejects_negative_or_nan_tol(tol):
+    # below 0 the zero-locus and ZERO_BOUNDARY labels become unreachable
+    big_root = zero_locus_solve(P31)[1]
+    assert classify_regime(P31, big_root) is RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS
+    with pytest.raises(ValueError):
+        classify_regime(P31, big_root, tol=tol)
 
 
 def test_classify_zero_boundary():
