@@ -12,38 +12,10 @@ module.
 """
 import importlib
 
-from .core import (
-    AuxStatistics,
-    ModelParams,
-    RegimeLabel,
-    appendix_diagnostics,
-    aux_statistics,
-    classify_regime,
-    edge_area,
-    eta_critical,
-    f_ab,
-    g_ab,
-    lambda_critical,
-    phi_star,
-    s_func,
-    sigma_tot_joint,
-    sigma_tot_projected,
-    t_func,
-    tau_critical,
-    y_shift,
-    zero_locus_solve,
-)
-from .rates import (
-    big_l,
-    big_l_left,
-    i_gamma,
-    i_goe,
-    i_max,
-    j_coupling,
-    sigma_max_joint,
-    sigma_max_projected,
-)
-from .spikes import perturbation_factors, spike_eigenvalues, spike_eigenvalues_r2
+from . import core, rates, spikes
+from .core import *
+from .rates import *
+from .spikes import *
 
 __version__ = "0.1.0"
 
@@ -93,54 +65,4 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "AuxStatistics",
-    "CriticalPoint",
-    "GOESpec",
-    "MCEstimate",
-    "ModelParams",
-    "QuadratureError",
-    "RegimeLabel",
-    "SpectralSample",
-    "SpikedPolynomial",
-    "appendix_diagnostics",
-    "aux_statistics",
-    "big_l",
-    "big_l_left",
-    "build_polynomial",
-    "c_constant",
-    "classify_regime",
-    "count_expected",
-    "edge_area",
-    "esd_distance",
-    "eta_critical",
-    "f_ab",
-    "find_critical_points",
-    "g_ab",
-    "i_gamma",
-    "i_goe",
-    "i_max",
-    "j_coupling",
-    "kac_rice_eval",
-    "lambda_critical",
-    "mc_lambda_max_tail",
-    "mc_log_abs_det",
-    "mc_restricted_det",
-    "perturbation_factors",
-    "phi_star",
-    "s_func",
-    "sample_spectrum",
-    "sigma_max_joint",
-    "sigma_max_projected",
-    "sigma_tot_joint",
-    "sigma_tot_projected",
-    "sphere_surface",
-    "spherical_integral_mc",
-    "spike_eigenvalues",
-    "spike_eigenvalues_r2",
-    "t_func",
-    "tau_critical",
-    "y_shift",
-    "zero_locus_solve",
-    "__version__",
-]
+__all__ = [*core.__all__, *rates.__all__, *spikes.__all__, *_LAZY, "__version__"]

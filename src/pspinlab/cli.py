@@ -139,8 +139,10 @@ def _load_config(path: str | None) -> dict[str, str]:
 class Resolver:
     """Value lookup with the precedence: command line flag, config file, default.
 
-    Every config key must name a flag of the subcommand, so a misspelled or
-    removed flag is a usage error rather than silently ignored.
+    Every config key must name a flag of the subcommand, and every flag or
+    key given must be read by the command (`out` checks this once the
+    command has read its inputs), so a misspelled, removed or inapplicable
+    flag is a usage error rather than silently ignored.
     """
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
@@ -152,8 +154,11 @@ class Resolver:
             )
         self.args = args
         self.config = config
+        self.given = {f for f in flags if getattr(args, f) is not None} | set(config)
+        self.read: set[str] = set()
 
     def get(self, name: str, conv, default=None, required: bool = False):
+        self.read.add(name)
         raw = getattr(self.args, name, None)
         if raw is None:
             raw = self.config.get(name)
@@ -164,6 +169,7 @@ class Resolver:
         return _convert(name, conv, raw)
 
     def get_list(self, name: str, conv, default=None):
+        self.read.add(name)
         raw = getattr(self.args, name, None)
         if raw is None:
             cfg = self.config.get(name)
@@ -171,6 +177,16 @@ class Resolver:
                 return default
             raw = [v for v in cfg.split(";") if v]
         return [_convert(name, conv, v) for v in raw]
+
+    def out(self) -> str | None:
+        """The --out path, read after every other input: a flag or config
+        key that the command did not read is a usage error."""
+        path = self.get("out", str)
+        unread = sorted(self.given - self.read)
+        if unread:
+            flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+            raise UsageError(f"unused option(s) for {self.args.command}: {flags}")
+        return path
 
 
 def _convert(name: str, conv, raw):
@@ -299,7 +315,7 @@ def cmd_grid(res: Resolver) -> int:
         )
     if not 1 <= len(swept) <= 2:
         raise UsageError("full grids sweep 1 or 2 coordinates; use --fix for the rest")
-    out = res.get("out", str)
+    out = res.out()
 
     ticks = [_ticks(*a) for a in axes]
     pts = np.zeros((math.prod(len(t) for t in ticks), params.r))
@@ -363,6 +379,7 @@ def cmd_classify(res: Resolver) -> int:
     params = _model_params(res)
     m = res.get("m", _conv_floats, required=True)
     tol = res.get("tol", float, default=1e-6)
+    out = res.out()
     # a huge spike overflows tau^2 to NaN, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         label = classify_regime(params, m, tol=tol)
@@ -384,20 +401,21 @@ def cmd_classify(res: Resolver) -> int:
             "eta_c": aux.eta_c,
         },
     }
-    _write_text(res.get("out", str), to_json(doc) + "\n")
+    _write_text(out, to_json(doc) + "\n")
     return 0
 
 
 def cmd_zeros(res: Resolver) -> int:
     params = _model_params(res)
     pattern = res.get("pattern", _conv_ints)
+    out = res.out()
     sols = zero_locus_solve(params, pattern)
     doc = {
         "pattern": list(pattern) if pattern is not None else list(range(params.r)),
         "solutions": [list(s) for s in sols],
         "sigma_tot": [sigma_tot_projected(params, s) for s in sols],
     }
-    _write_text(res.get("out", str), to_json(doc) + "\n")
+    _write_text(out, to_json(doc) + "\n")
     return 0
 
 
@@ -412,11 +430,12 @@ def cmd_rate(res: Resolver) -> int:
         ts += _ticks(*rng)
     if not ts:
         raise UsageError("need --t or --t-range")
+    out = res.out()
     tcol = np.array(ts)
     with np.errstate(over="ignore"):
         columns = [ts] + [f(gam, tcol).tolist() for f in (i_max, big_l, big_l_left)]
     rows = ["t,i_max,L,L_left"] + [",".join(map(fmt_float, row)) for row in zip(*columns)]
-    _write_text(res.get("out", str), "\n".join(rows) + "\n")
+    _write_text(out, "\n".join(rows) + "\n")
     return 0
 
 
@@ -444,16 +463,19 @@ def cmd_experiment(res: Resolver) -> int:
         n = res.get("n", int, required=True)
         gamma = res.get("gamma", _conv_floats, default=())
         shift = res.get("shift", float, default=0.0)
+        trials = 1 if name == "esd" else res.get("trials", int, required=True)
+        if name == "mc-lmax":
+            inputs["t"] = t = res.get("t", float, required=True)
+        out = res.out()
         spec = GOESpec(n=n, gamma=gamma, shift=shift, seed=seed)
-        inputs.update({"n": n, "gamma": list(gamma), "shift": shift})
+        inputs.update({"n": n, "gamma": list(gamma), "shift": shift, "trials": trials})
         gam_desc = tuple(sorted(gamma, reverse=True))
         if name == "esd":
             dists = esd_distance(spec)
-            estimate, std_error, trials = dists["w1"], None, 1
+            estimate, std_error = dists["w1"], None
             extras["d_bl"] = dists["d_bl"]
             theory = 0.0
         else:
-            trials = res.get("trials", int, required=True)
             if name == "mc-det":
                 est = mc_log_abs_det(spec, trials)
                 theory = phi_star(shift)
@@ -461,13 +483,10 @@ def cmd_experiment(res: Resolver) -> int:
                 est = mc_restricted_det(spec, trials)
                 theory = phi_star(shift) - big_l(gam_desc, shift)
             else:
-                t = res.get("t", float, required=True)
-                inputs["t"] = t
                 est = mc_lambda_max_tail(spec, trials, t)
                 theory = -big_l(gam_desc, t) if shift == 0.0 else None
             estimate, std_error = est.value, est.std_error
             extras.update(est.extras)
-        inputs["trials"] = trials
     elif name == "spherical":
         from .rmt import spherical_integral_mc
 
@@ -475,6 +494,7 @@ def cmd_experiment(res: Resolver) -> int:
         gamma = res.get("gamma", _conv_floats, required=True)
         diag = res.get("diag", _conv_floats, required=True)
         trials = res.get("trials", int, required=True)
+        out = res.out()
         est = spherical_integral_mc(n, gamma, diag, trials, seed=seed)
         estimate, std_error = est.value, est.std_error
         extras.update(est.extras)
@@ -508,35 +528,21 @@ def cmd_experiment(res: Resolver) -> int:
         if name == "kacrice-count":
             trials = res.get("trials", int, required=True)
             budget = res.get("budget", int, default=200)
-            est = count_expected(
-                params,
-                n,
-                trials,
-                seed=seed,
-                overlap_windows=overlap_windows,
-                value_window=value_window,
-                which=which,
-                budget=budget,
-            )
             inputs.update({"trials": trials, "budget": budget})
         else:
-            inner = res.get("inner_trials", int, default=2048)
+            trials = res.get("inner_trials", int, default=2048)
             batches = res.get("batches", int, default=8)
+            inputs.update({"inner_trials": trials, "batches": batches})
+        out = res.out()
+        common = dict(overlap_windows=overlap_windows, value_window=value_window,
+                      which=which, seed=seed)
+        if name == "kacrice-count":
+            est = count_expected(params, n, trials, budget=budget, **common)
+        else:
             try:
-                est = kac_rice_eval(
-                    params,
-                    n,
-                    overlap_windows=overlap_windows,
-                    value_window=value_window,
-                    inner_trials=inner,
-                    which=which,
-                    seed=seed,
-                    batches=batches,
-                )
+                est = kac_rice_eval(params, n, inner_trials=trials, batches=batches, **common)
             except QuadratureError as exc:
                 raise ConvergenceError(f"quadrature did not converge: {exc}")
-            inputs.update({"inner_trials": inner, "batches": batches})
-            trials = inner
         estimate, std_error = est.value, est.std_error
         extras.update(est.extras)
 
@@ -555,7 +561,7 @@ def cmd_experiment(res: Resolver) -> int:
         "discrepancy": (estimate - theory) if theory is not None else None,
         "extras": extras,
     }
-    _write_text(res.get("out", str), to_json(doc) + "\n")
+    _write_text(out, to_json(doc) + "\n")
     return 0
 
 
@@ -567,7 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed")
         p.add_argument("--out")
         p.add_argument("--config")
 
@@ -605,6 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(e)
     add_model(e)
     e.add_argument("--experiment")
+    e.add_argument("--seed")
     e.add_argument("--n")
     e.add_argument("--trials")
     e.add_argument("--gamma")

@@ -64,7 +64,8 @@ NEG_INF = float("-inf")
 class ModelParams:
     """Landscape parameters: degree p, rank r, spike degrees k, strengths lam.
 
-    lam must be sorted in non-increasing order; every k_i >= 3 and p >= 3.
+    lam must be finite and sorted in non-increasing order; every k_i >= 3
+    and p >= 3.
     """
 
     p: int
@@ -83,8 +84,9 @@ class ModelParams:
             raise ValueError("k and lam must each have length r")
         if any(ki < 3 for ki in self.k):
             raise ValueError(f"every spike degree must be >= 3, got {self.k}")
-        if any(li < 0 for li in self.lam):
-            raise ValueError(f"spike strengths must be >= 0, got {self.lam}")
+        # the negated test also rejects NaN, for which every comparison is false
+        if any(not 0 <= li < math.inf for li in self.lam):
+            raise ValueError(f"spike strengths must be finite and >= 0, got {self.lam}")
         if any(self.lam[i] < self.lam[i + 1] for i in range(self.r - 1)):
             raise ValueError(f"lam must be non-increasing, got {self.lam}")
 

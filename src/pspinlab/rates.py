@@ -45,15 +45,14 @@ __all__ = [
 INF = float("inf")
 
 
-def i_goe(x: float) -> float:
-    """Rate for the largest eigenvalue of an unspiked GOE matrix to sit at x.
+def i_goe(x: float | np.ndarray) -> float | np.ndarray:
+    """Rate for the largest eigenvalue of an unspiked GOE matrix to sit at x:
+    i_max with no spike.
 
     +inf below the bulk edge: at this speed the top eigenvalue cannot be
-    pushed under 2.
+    pushed under 2.  x is a float or an array.
     """
-    if x < 2:
-        return INF
-    return 0.5 * edge_area(x)
+    return i_max((), x)
 
 
 def _stieltjes_edge(x: float) -> float:
@@ -97,10 +96,11 @@ def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndar
 
 
 def _descending(gamma) -> np.ndarray:
-    """gamma as a float array, checked non-increasing along its last axis."""
+    """gamma as a float array, checked free of NaN, which passes every
+    ordering test, and non-increasing along its last axis."""
     gamma = np.asarray(gamma, dtype=float)
-    if (gamma[..., :-1] < gamma[..., 1:]).any():
-        raise ValueError(f"gamma must be sorted in non-increasing order, got {gamma}")
+    if np.isnan(gamma).any() or (gamma[..., :-1] < gamma[..., 1:]).any():
+        raise ValueError(f"gamma must be free of NaN and non-increasing, got {gamma}")
     return gamma
 
 

@@ -46,6 +46,8 @@ class GOESpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if len(self.gamma) > self.n:
             raise ValueError("more spikes than matrix dimensions")
+        if not all(map(math.isfinite, (*self.gamma, self.shift))):
+            raise ValueError(f"gamma and shift must be finite, got {self.gamma}, {self.shift}")
 
 
 @dataclass(frozen=True)

@@ -492,6 +492,26 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
     # one window at r = 2 would leave m2 unwindowed
     ["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "2", "--lam", "1,0.5",
      "--n", "2", "--trials", "2", "--overlap-window", "0:1", "--seed", "0"],
+    # non-finite spike inputs: NaN passes every ordering test, inf the sign test
+    ["grid", "--p", "3", "--r", "2", "--lam", "inf,1", "--quantity", "sigma_max",
+     "--axis", "0:0.5:3", "--axis", "0:0.5:3"],
+    ["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1", "--lam", "nan",
+     "--n", "2", "--trials", "3", "--seed", "0"],
+    ["zeros", "--p", "3", "--r", "1", "--lam", "nan"],
+    ["zeros", "--p", "3", "--r", "1", "--lam", "inf"],
+    ["rate", "--gamma", "nan", "--t", "2.5"],
+    ["experiment", "--experiment", "mc-lmax", "--n", "5", "--shift", "nan", "--t", "1",
+     "--trials", "3", "--seed", "0"],
+    ["experiment", "--experiment", "mc-det", "--n", "5", "--gamma", "inf", "--trials", "3",
+     "--seed", "0"],
+    # flags the command never reads
+    ["experiment", "--experiment", "esd", "--n", "50", "--trials", "100", "--seed", "0"],
+    ["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "1", "--lam", "1",
+     "--n", "2", "--inner-trials", "64", "--batches", "2", "--budget", "7", "--seed", "0"],
+    ["experiment", "--experiment", "mc-det", "--n", "5", "--trials", "3", "--t", "3",
+     "--p", "3", "--seed", "0"],
+    ["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot",
+     "--axis", "0:1:5", "--seed", "9"],
 ])
 def test_bad_range_and_value_exit_code(argv):
     assert run_cli(argv) == 2
@@ -570,6 +590,35 @@ def test_config_unknown_key_exit_code(tmp_path, capsys, line):
     assert run_cli(["grid", "--config", str(cfg), "--out", str(out)]) == 2
     assert line.partition("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unread_config_key_exit_code(tmp_path, capsys):
+    # esd draws one matrix: a trial count is a key the command never reads
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=50\ntrials=100\n")
+    out = tmp_path / "esd.json"
+    argv = ["experiment", "--experiment", "esd", "--seed", "0", "--config", str(cfg),
+            "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("n=50\n")
+    assert run_cli(argv) == 0
+
+
+def test_export_lists_agree():
+    # _LAZY names the stochastic layer without importing it, so only this
+    # test keeps it in step with rmt.__all__ and kacrice.__all__
+    import pspinlab
+    from pspinlab import core, kacrice, rates, rmt, spikes
+
+    assert pspinlab._LAZY == {
+        **dict.fromkeys(kacrice.__all__, "kacrice"),
+        **dict.fromkeys(rmt.__all__, "rmt"),
+    }
+    modules = (core, rates, spikes, rmt, kacrice)
+    assert set(pspinlab.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
+    assert len(pspinlab.__all__) == len(set(pspinlab.__all__))
 
 
 # sha256 of grid CSVs written by the point-by-point evaluator that the array

@@ -53,6 +53,10 @@ def test_params_validation():
         ModelParams(p=3, r=2, k=(3, 3), lam=(1.0, 2.0))
     with pytest.raises(ValueError):
         ModelParams(p=3, r=1, k=(3,), lam=(-0.5,))
+    # NaN passes every ordering test, inf the sign test
+    for lam in ((math.inf,), (math.nan,), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            ModelParams(p=3, r=len(lam), k=(3,) * len(lam), lam=lam)
 
 
 def test_phi_star_values():

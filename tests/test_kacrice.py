@@ -83,6 +83,29 @@ def test_count_windows_restrict():
     assert est_win.value <= est_all.value + 1e-12
 
 
+def test_count_value_window_matches_direct_count():
+    # n = 2 finds every critical point, so the windowed count is the mean
+    # number of found values inside the window, over the same landscapes
+    lo, hi, trials = -0.2, 0.4, 40
+    est = count_expected(P1, 2, trials, seed=5, value_window=(lo, hi))
+    inside = [
+        sum(lo <= pt.value <= hi for pt in find_critical_points(build_polynomial(P1, 2, (5, t))))
+        for t in range(trials)
+    ]
+    assert est.value == np.mean(inside)
+    assert 0.0 < est.value < count_expected(P1, 2, trials, seed=5).value
+
+
+def test_count_rejects_empty_trials_and_excess_rank():
+    with pytest.raises(ValueError):
+        count_expected(P0, 2, 0, seed=1)
+    p3 = ModelParams(p=3, r=3, k=(3, 3, 3), lam=(1.0, 0.5, 0.2))
+    with pytest.raises(ValueError):
+        build_polynomial(p3, 2, (1, 0))
+    with pytest.raises(ValueError):
+        count_expected(p3, 2, 2, seed=1)
+
+
 def test_count_index_split():
     tot = count_expected(P0, 2, 150, seed=6)
     mins = count_expected(P0, 2, 150, seed=6, which=0)

@@ -35,6 +35,20 @@ def test_i_goe_values():
     assert i_goe(1.9) == INF
 
 
+def test_i_goe_takes_arrays():
+    x = np.array([1.9, 2.0, 2.5, 3.0, 7.25, INF])
+    assert i_goe(x).tolist() == [i_goe(v) for v in x.tolist()]
+    assert i_goe(x).tolist() == i_max((), x).tolist()
+
+
+@pytest.mark.parametrize("gamma", [(math.nan,), (2.0, math.nan), (math.nan, 0.5)])
+def test_rates_reject_nan_spike(gamma):
+    # NaN passes the ordering test, and i_max would return the unspiked rate
+    for rate in (i_max, big_l, big_l_left):
+        with pytest.raises(ValueError):
+            rate(gamma, 2.5)
+
+
 def test_j_coupling_values():
     assert j_coupling(2.0, 3.0) == pytest.approx(3.2714801524, abs=1e-9)
     assert j_coupling(1.0, 2.0) == pytest.approx(0.5, abs=1e-12)

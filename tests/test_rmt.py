@@ -15,6 +15,14 @@ from pspinlab import (
 )
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"gamma": (math.inf,)}, {"gamma": (1.5, math.nan)}, {"shift": math.nan}, {"shift": -math.inf},
+])
+def test_spec_rejects_non_finite_inputs(kwargs):
+    with pytest.raises(ValueError):
+        GOESpec(n=5, **kwargs)
+
+
 def test_sampling_deterministic():
     spec = GOESpec(n=50, gamma=(1.5,), shift=0.3, seed=42)
     a = sample_spectrum(spec)
