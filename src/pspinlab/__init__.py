@@ -5,24 +5,41 @@ Closed-form layer: complexity surfaces, spike-perturbation eigenvalues, and
 eigenvalue large-deviation rates.  Stochastic layer: seeded spiked-GOE Monte
 Carlo and exact finite-dimension critical point counting for cross checks.
 
-Importing the package loads the closed-form layer (`core`, `spikes`,
-`rates`).  The stochastic layer (`rmt`, `kacrice`) loads on first use: the
-first lookup of one of its names, e.g. `pspinlab.GOESpec`, imports its
-module.
+Importing the package loads `core` alone, and not numpy: one overlap point
+runs through `core` on Python floats, and numpy loads with the first stack
+or other array.  The array modules load on first use: `spikes` and `rates`
+of the closed-form layer, and the stochastic layer (`rmt`, `kacrice`).  The
+first lookup of one of their names, e.g. `pspinlab.big_l` or
+`pspinlab.GOESpec`, imports its module.
 """
 import importlib
 
-from . import core, rates, spikes
+from . import core
 from .core import *
-from .rates import *
-from .spikes import *
 
 __version__ = "0.1.0"
 
-# name -> submodule for the stochastic layer, imported by the first lookup.
-# The resolved objects are not stored in the package namespace, so every
-# lookup reads the submodule's current global.
+# name -> submodule for the modules that load on first use, imported by the
+# first lookup.  The resolved objects are not stored in the package
+# namespace, so every lookup reads the submodule's current global.
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "i_goe",
+            "j_coupling",
+            "i_gamma",
+            "i_max",
+            "big_l",
+            "big_l_left",
+            "sigma_max_joint",
+            "sigma_max_projected",
+        ),
+        "rates",
+    ),
+    **dict.fromkeys(
+        ("perturbation_factors", "spike_eigenvalues", "spike_eigenvalues_r2"),
+        "spikes",
+    ),
     **dict.fromkeys(
         (
             "CriticalPoint",
@@ -65,4 +82,4 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [*core.__all__, *rates.__all__, *spikes.__all__, *_LAZY, "__version__"]
+__all__ = [*core.__all__, *_LAZY, "__version__"]

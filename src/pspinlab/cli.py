@@ -17,9 +17,9 @@ import sys
 import time
 from typing import Sequence
 
-import numpy as np
-from numpy.linalg import LinAlgError
-
+# classify, zeros and --help run on Python floats and never load numpy; the
+# commands that build arrays import numpy, rates and spikes themselves, and
+# experiment imports the stochastic layer it runs
 from . import __version__
 from .core import (
     ModelParams,
@@ -33,8 +33,6 @@ from .core import (
     tau_critical,
     zero_locus_solve,
 )
-from .rates import big_l, big_l_left, i_max, sigma_max_projected
-from .spikes import spike_eigenvalues
 
 GRID_QUANTITIES = ("sigma_tot", "sigma_max", "regime", "gamma1", "tau", "eta")
 EXPERIMENTS = (
@@ -223,6 +221,13 @@ def _conv_range(v) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+def _conv_point(v) -> tuple[float, ...]:
+    m = _conv_floats(v)
+    if any(math.isnan(x) for x in m):
+        raise ValueError("overlap coordinates must not be NaN")
+    return m
+
+
 def _conv_t(v) -> float:
     t = float(v)
     if math.isnan(t):
@@ -254,8 +259,9 @@ def _conv_window(v) -> tuple[float, float]:
     if len(parts) != 2:
         raise UsageError(f"window must be LO:HI, got {v!r}")
     lo, hi = float(parts[0]), float(parts[1])
-    if lo > hi:
-        raise UsageError("window must have LO <= HI")
+    # the negated test also rejects a NaN end, for which every comparison is false
+    if not lo <= hi:
+        raise UsageError("window must have LO <= HI, neither of them NaN")
     return lo, hi
 
 
@@ -316,6 +322,10 @@ def cmd_grid(res: Resolver) -> int:
     if not 1 <= len(swept) <= 2:
         raise UsageError("full grids sweep 1 or 2 coordinates; use --fix for the rest")
     out = res.out()
+    import numpy as np
+
+    from .rates import sigma_max_projected
+    from .spikes import spike_eigenvalues
 
     ticks = [_ticks(*a) for a in axes]
     pts = np.zeros((math.prod(len(t) for t in ticks), params.r))
@@ -377,14 +387,13 @@ def cmd_grid(res: Resolver) -> int:
 
 def cmd_classify(res: Resolver) -> int:
     params = _model_params(res)
-    m = res.get("m", _conv_floats, required=True)
+    m = res.get("m", _conv_point, required=True)
     tol = res.get("tol", float, default=1e-6)
     out = res.out()
+    label = classify_regime(params, m, tol=tol)
+    aux = aux_statistics(params, m)
     # a huge spike overflows tau^2 to NaN, which the check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        label = classify_regime(params, m, tol=tol)
-        aux = aux_statistics(params, m)
-        value = sigma_tot_projected(params, m)
+    value = sigma_tot_projected(params, m)
     if math.isnan(value):
         raise UsageError(f"sigma_tot at m = {list(m)} leaves the float range (NaN)")
     doc = {
@@ -431,6 +440,10 @@ def cmd_rate(res: Resolver) -> int:
     if not ts:
         raise UsageError("need --t or --t-range")
     out = res.out()
+    import numpy as np
+
+    from .rates import big_l, big_l_left, i_max
+
     tcol = np.array(ts)
     with np.errstate(over="ignore"):
         columns = [ts] + [f(gam, tcol).tolist() for f in (i_max, big_l, big_l_left)]
@@ -459,13 +472,14 @@ def cmd_experiment(res: Resolver) -> int:
             mc_log_abs_det,
             mc_restricted_det,
         )
+        from .rates import big_l
 
         n = res.get("n", int, required=True)
         gamma = res.get("gamma", _conv_floats, default=())
         shift = res.get("shift", float, default=0.0)
         trials = 1 if name == "esd" else res.get("trials", int, required=True)
         if name == "mc-lmax":
-            inputs["t"] = t = res.get("t", float, required=True)
+            inputs["t"] = t = res.get("t", _conv_t, required=True)
         out = res.out()
         spec = GOESpec(n=n, gamma=gamma, shift=shift, seed=seed)
         inputs.update({"n": n, "gamma": list(gamma), "shift": shift, "trials": trials})
@@ -645,9 +659,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(getattr(args, "config", None))
         res = Resolver(args, config)
         return _DISPATCH[args.command](res)
-    except LinAlgError:  # a ValueError subclass, but not a usage error
-        raise
     except (UsageError, ValueError) as exc:
+        # numpy's LinAlgError is a ValueError, but not a usage error; its
+        # name tells it apart without importing numpy
+        if type(exc).__name__ == "LinAlgError":
+            raise
         # the library raises ValueError for inputs it cannot take
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -15,13 +15,17 @@ Conventions used throughout the package:
 
 Broadcasting: every function of an overlap point takes one point of shape
 (r,) and returns scalars, or a stack of shape (N, r) and returns arrays over
-its N points, through one body.  s_func, y_shift, t_func and sigma_tot_joint
-also take a value x: a float or any array for one point, for a stack an
-array whose leading axis runs over its points.  edge_area and phi_star take
-floats or arrays.  Powers, logarithms and asinh go through the C library one
-float at a time (_libm), so a stack has the bits of its points one by one;
-the coordinate powers of a stack are taken once per distinct coordinate
-value (_distinct), which on a tensor grid is once per tick.
+its N points, through one body.  One point runs that body on Python floats
+and never imports numpy; numpy is imported by the first stack, inside the
+array branches of the few helpers that tell the two apart (_coords, _select,
+_sqrt, _divide, _libm).  s_func, y_shift, t_func and sigma_tot_joint also
+take a value x: a float or any array for one point, for a stack an array
+whose leading axis runs over its points.  edge_area and phi_star take floats
+or arrays.  +, -, *, / and sqrt are IEEE on floats and arrays alike, and
+powers, logarithms and asinh go through the C library one float at a time
+(_libm), so a stack has the bits of its points one by one; the coordinate
+powers of a stack are taken once per distinct coordinate value (_by_value),
+which on a tensor grid is once per tick.
 """
 from __future__ import annotations
 
@@ -31,9 +35,10 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from types import EllipsisType
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -153,10 +158,39 @@ def _any(cond) -> bool:
 
 def _select(cond, a, b):
     """np.where(cond, a, b), as plain Python on three scalars, so that a
-    one-point call pays no array overhead."""
+    one-point call runs on Python floats."""
     if getattr(cond, "ndim", 0) or getattr(a, "ndim", 0) or getattr(b, "ndim", 0):
+        import numpy as np
+
         return np.where(cond, a, b)
     return a if cond else b
+
+
+def _sqrt(x):
+    """The square root of a float, or of each entry of an array."""
+    if getattr(x, "ndim", 0):
+        import numpy as np
+
+        return np.sqrt(x)
+    return math.sqrt(x)
+
+
+def _divide(num, den):
+    """num / den with IEEE semantics on floats as on arrays, where Python
+    floats would raise at a zero den: +-inf, NaN/0 is the NaN num, and 0/0
+    is the CPU's default NaN, which inf - inf gives too."""
+    if getattr(num, "ndim", 0) or getattr(den, "ndim", 0):
+        import numpy as np
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
+    if den != 0.0:
+        return num / den
+    if num != num:
+        return num
+    if num == 0.0:
+        return math.inf - math.inf
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
 def edge_area(x: float | np.ndarray) -> float | np.ndarray:
@@ -168,7 +202,7 @@ def edge_area(x: float | np.ndarray) -> float | np.ndarray:
     if _any(x < 2):
         raise ValueError(f"edge_area needs x >= 2, got {x}")
     huge = x * x == math.inf
-    s = np.sqrt(_select(huge, 4.0, x * x) - 4)
+    s = _sqrt(_select(huge, 4.0, x * x) - 4)
     return _scalar(_select(huge, math.inf, 0.5 * x * s - 2 * _libm(math.log, 0.5 * (x + s))))
 
 
@@ -194,6 +228,8 @@ def _libm(fn, x, *args):
     """
     if not getattr(x, "ndim", 0):
         return _saturating(fn, float(x), *args)
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     columns = [itertools.repeat(a) for a in args]
     try:
@@ -204,13 +240,13 @@ def _libm(fn, x, *args):
 
 
 def _saturating(fn, x: float, *args) -> float:
-    """fn(x, *args), or +-inf where Python raises OverflowError and the C
-    library returns an infinity (only pow overflows among the four)."""
+    """fn(x, *args), or the +-inf that the C library returns where Python
+    raises OverflowError.  Only pow overflows among the four, and its
+    infinity is negative for a negative base and an odd integer exponent."""
     try:
         return fn(x, *args)
     except OverflowError:
-        with np.errstate(over="ignore"):
-            return float(np.power(x, *args))
+        return -math.inf if x < 0 and args[0] % 2 == 1 else math.inf
 
 
 def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
@@ -218,13 +254,24 @@ def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | EllipsisType
     scatters them back: f(values)[index] is f(column) for any f that acts
     entry by entry, paying f once per value.  Keyed on the int64 view, since
     a float unique merges -0.0 with 0.0, and pow(-0.0, 3) is -0.0.  A column
-    of one entry comes back as it is, with the index ..., so a one-point call
-    pays no sort.
+    of one entry comes back as it is, with the index ..., so a one-point
+    stack pays no sort.
     """
     if len(column) < 2:
         return column, ...
+    import numpy as np
+
     keys, index = np.unique(column.view(np.int64), return_inverse=True)
     return keys.view(float), index
+
+
+def _by_value(column, *fns) -> list:
+    """f(column) for each entrywise f in fns: on a float directly, on an
+    array once per distinct value (_distinct), scattered back."""
+    if not getattr(column, "ndim", 0):
+        return [f(column) for f in fns]
+    values, back = _distinct(column)
+    return [f(values)[back] for f in fns]
 
 
 def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
@@ -232,6 +279,8 @@ def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.nd
 
     m is one point of shape (r,) or a stack of shape (N, r).
     """
+    import numpy as np
+
     pts = np.asarray(m, dtype=float)
     if pts.ndim == 2 and pts.shape[1] == params.r:
         return pts, False
@@ -240,6 +289,20 @@ def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.nd
             f"overlap points have shape {pts.shape}, expected (r,) or (N, r) with r = {params.r}"
         )
     return pts.reshape(1, params.r), True
+
+
+def _coords(params: ModelParams, m: Sequence[float] | np.ndarray) -> list[float] | np.ndarray:
+    """The r coordinates of m, each a Python float for one point of shape
+    (r,), or a column of an (N, r) float array for a stack.  One point is
+    read without numpy."""
+    if getattr(m, "ndim", 1) == 1:
+        try:
+            point = [float(v) for v in m]
+        except TypeError:  # a stack given as nested sequences
+            point = None
+        if point is not None and len(point) == params.r:
+            return point
+    return _points(params, m)[0].T
 
 
 class _Profile(NamedTuple):
@@ -265,32 +328,31 @@ class _Profile(NamedTuple):
 def _profile_parts(params: ModelParams, m: Sequence[float] | np.ndarray) -> _Profile:
     """The _Profile of m: floats and a bool for one point, arrays of length
     N for a stack."""
-    pts, single = _points(params, m)
     p = params.p
-    alpha = diag_sum = tau = center = 0.0
+    alpha = diag_sum = cross_sum = tau = center = 0.0
     powers = []
-    for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
+    for lam_i, k_i, m_i in zip(params.lam, params.k, _coords(params, m)):
         mi2 = m_i * m_i
         alpha = alpha + mi2
-        values, back = _distinct(m_i)
-        mk = _libm(pow, values, k_i)[back]
+        mk, diag = _by_value(
+            m_i, lambda v: _libm(pow, v, k_i), lambda v: _libm(pow, v, 2 * k_i - 2)
+        )
         powers.append(lam_i * k_i * mk)
-        diag = _libm(pow, values, 2 * k_i - 2)
-        diag_sum = diag_sum + lam_i * lam_i * k_i * k_i * diag[back] * (1 - mi2)
+        diag_sum = diag_sum + lam_i * lam_i * k_i * k_i * diag * (1 - mi2)
         tau = tau + lam_i * k_i * mk
         center = center + lam_i * mk
     diag_sum = diag_sum / p
     tau = tau / p
-    cross_sum = np.zeros(len(pts))
+    if params.r == 1 and getattr(alpha, "ndim", 0):  # no pair: a zero per point
+        import numpy as np
+
+        cross_sum = np.zeros(len(alpha))
     for a, b in itertools.combinations(powers, 2):
         cross_sum = cross_sum + a * b
     cross_sum = cross_sum * (2.0 / p)
     shift = center - tau
     inside = (0.0 < alpha) & (alpha < 1.0)
-    parts = (alpha, diag_sum, cross_sum, tau, center, shift)
-    if single:
-        return _Profile(*[v.item() for v in parts], inside.item())
-    return _Profile(*parts, inside)
+    return _Profile(alpha, diag_sum, cross_sum, tau, center, shift, inside)
 
 
 def _along(x, *values) -> tuple:
@@ -349,11 +411,6 @@ def sigma_tot_joint(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> 
     return _scalar(_joint(params, m, x)[1])
 
 
-def _unwrap(values: np.ndarray, single: bool):
-    """The one value as a Python scalar for a single point, else the array."""
-    return values[0].item() if single else values
-
-
 def sigma_tot_projected(
     params: ModelParams, m: Sequence[float] | np.ndarray
 ) -> float | np.ndarray:
@@ -366,50 +423,46 @@ def sigma_tot_projected(
     holds on the whole overlap ball, signed coordinates included.  A float
     for one point of shape (r,), an array of length N for a stack (N, r).
     """
-    pts, single = _points(params, m)
-    return _unwrap(_sigma_tot(params, _profile_parts(params, pts)), single)
+    return _sigma_tot(params, _profile_parts(params, m))
 
 
-def _sigma_tot(params: ModelParams, prof: _Profile) -> np.ndarray:
-    """sigma_tot_projected from the _Profile of a stack, an array over its points."""
+def _sigma_tot(params: ModelParams, prof: _Profile) -> float | np.ndarray:
+    """sigma_tot_projected from a _Profile: a float for one point, an array
+    over the points of a stack."""
     p = params.p
-    abs_tau = np.abs(prof.tau)
-    a = np.where(prof.inside, prof.alpha, 0.0)
+    abs_tau = abs(prof.tau)
+    a = _select(prof.inside, prof.alpha, 0.0)
     base = 0.5 * _libm(math.log1p, -a) - prof.diag_sum + prof.cross_sum
     narrow = 0.5 * math.log(p - 1) + base + (p / (p - 2)) * prof.tau * prof.tau
     u = math.sqrt(0.5 * p) * abs_tau
-    wide = base - u * u + u * np.sqrt(1 + u * u) + _libm(math.asinh, u)
-    value = np.where(abs_tau < tau_critical(p), narrow, wide)
-    return np.where(prof.inside, value, NEG_INF)
+    wide = base - u * u + u * _sqrt(1 + u * u) + _libm(math.asinh, u)
+    value = _select(abs_tau < tau_critical(p), narrow, wide)
+    return _select(prof.inside, value, NEG_INF)
 
 
 def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxStatistics:
     """All statistics of an overlap point, or of each point of a stack, used
     by the phase analysis."""
-    pts, single = _points(params, m)
     p = params.p
-    prof = _profile_parts(params, pts)
+    prof = _profile_parts(params, m)
     alpha, tau = prof.alpha, prof.tau
-    sq = np.zeros(len(pts))
-    eta = np.zeros(len(pts))
-    for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
-        values, back = _distinct(m_i)
-        sq = sq + _libm(pow, lam_i * k_i * _libm(pow, values, k_i - 1), 2)[back]
-        active = m_i != 0.0
-        if active.any():  # the weight can overflow; a point with m_i = 0 never needs it
-            weight = _saturating(pow, lam_i, -2.0 / (k_i - 2)) if lam_i > 0 else math.inf
-            eta = eta + np.where(active, weight, 0.0)
+    sq = eta = 0.0
+    for lam_i, k_i, m_i in zip(params.lam, params.k, _coords(params, m)):
+        (slope,) = _by_value(m_i, lambda v: _libm(pow, lam_i * k_i * _libm(pow, v, k_i - 1), 2))
+        sq = sq + slope
+        # the weight can overflow to inf; a point with m_i = 0 takes none of it
+        weight = _saturating(pow, lam_i, -2.0 / (k_i - 2)) if lam_i > 0 else math.inf
+        eta = eta + _select(m_i != 0.0, weight, 0.0)
     sq = sq / (p * p)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(tau != 0.0, alpha * sq / (tau * tau), math.nan)
-        inside = prof.inside & ~np.isnan(beta)
-        a = np.where(inside, alpha, 0.5)
-        den = (p - 1) / (p - 2) - beta / a
-        num = -0.5 * _libm(math.log, (1 - a) * (p - 1))
-        ratio = num / den
+    beta = _select(tau != 0.0, _divide(alpha * sq, tau * tau), math.nan)
+    inside = prof.inside & (beta == beta)
+    a = _select(inside, alpha, 0.5)
+    den = (p - 1) / (p - 2) - beta / a
+    num = -0.5 * _libm(math.log, (1 - a) * (p - 1))
+    ratio = _divide(num, den)
     valid = inside & (den != 0.0) & (ratio >= 0.0)
-    tau_star = np.where(valid, np.sqrt(np.where(valid, ratio, 0.0)) / math.sqrt(p), math.nan)
+    tau_star = _select(valid, _sqrt(_select(valid, ratio, 0.0)) / math.sqrt(p), math.nan)
 
     if all(k_i == params.k[0] for k_i in params.k):
         eta_c = eta_critical(p, params.k[0])
@@ -417,11 +470,11 @@ def aux_statistics(params: ModelParams, m: Sequence[float] | np.ndarray) -> AuxS
         eta_c = math.nan
 
     return AuxStatistics(
-        tau=_unwrap(tau, single),
-        alpha=_unwrap(alpha, single),
-        beta=_unwrap(beta, single),
-        eta=_unwrap(eta, single),
-        tau_star=_unwrap(tau_star, single),
+        tau=tau,
+        alpha=alpha,
+        beta=beta,
+        eta=eta,
+        tau_star=tau_star,
         tau_c=tau_critical(p),
         eta_c=eta_c,
     )
@@ -439,25 +492,22 @@ def _zero_conditions_hold(
         coordinates;
     (b) the effective shift |tau| matches alpha / (2 sqrt(1 - alpha)) in
         edge units.
-    prof is the stack profile of m when the caller has it already.  A bool
-    for one point, a boolean array for a stack.
+    prof is the _Profile of m when the caller has it already.  A bool for
+    one point, a boolean array for a stack.
     """
-    pts, single = _points(params, m)
     p = params.p
     if prof is None:
-        prof = _profile_parts(params, pts)
-    hi = np.full(len(pts), -math.inf)
-    lo = np.full(len(pts), math.inf)
-    for lam_i, k_i, m_i in zip(params.lam, params.k, pts.T):
-        values, back = _distinct(m_i)
-        d = (k_i / p) * lam_i * _libm(pow, values, k_i - 2)[back]
+        prof = _profile_parts(params, m)
+    hi, lo = -math.inf, math.inf
+    for lam_i, k_i, m_i in zip(params.lam, params.k, _coords(params, m)):
+        (power,) = _by_value(m_i, lambda v: _libm(pow, v, k_i - 2))
+        d = (k_i / p) * lam_i * power
         nonzero = m_i != 0.0
-        hi = np.where(nonzero, np.maximum(hi, d), hi)
-        lo = np.where(nonzero, np.minimum(lo, d), lo)
-    a = np.where(prof.inside, prof.alpha, 0.0)
-    resid = math.sqrt(0.5 * p) * np.abs(prof.tau) - 0.5 * a / np.sqrt(1 - a)
-    held = prof.inside & (lo <= hi) & ~(hi - lo > tol) & (np.abs(resid) <= tol)
-    return _unwrap(held, single)
+        hi = _select(nonzero & (d > hi), d, hi)
+        lo = _select(nonzero & (d < lo), d, lo)
+    a = _select(prof.inside, prof.alpha, 0.0)
+    resid = math.sqrt(0.5 * p) * abs(prof.tau) - 0.5 * a / _sqrt(1 - a)
+    return prof.inside & (lo <= hi) & (hi - lo <= tol) & (abs(resid) <= tol)
 
 
 def classify_regime(
@@ -478,19 +528,16 @@ def classify_regime(
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    pts, single = _points(params, m)
-    prof = _profile_parts(params, pts)
+    prof = _profile_parts(params, m)
     value = _sigma_tot(params, prof)
-    codes = np.where(value > 0, int(RegimeLabel.POSITIVE), int(RegimeLabel.NEGATIVE))
-    codes[np.abs(value) <= tol] = RegimeLabel.ZERO_BOUNDARY
-    wide = prof.inside & (np.abs(prof.tau) >= tau_critical(params.p) - tol)
-    codes[wide] = np.where(
-        _zero_conditions_hold(params, pts[wide], tol, _Profile(*(v[wide] for v in prof))),
-        int(RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS),
-        codes[wide],
-    )
-    codes[~prof.inside] = RegimeLabel.OUT_OF_DOMAIN
-    return RegimeLabel(int(codes[0])) if single else codes
+    code = _select(value > 0, int(RegimeLabel.POSITIVE), int(RegimeLabel.NEGATIVE))
+    code = _select(abs(value) <= tol, int(RegimeLabel.ZERO_BOUNDARY), code)
+    wide = prof.inside & (abs(prof.tau) >= tau_critical(params.p) - tol)
+    if _any(wide):
+        held = wide & _zero_conditions_hold(params, m, tol, prof)
+        code = _select(held, int(RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS), code)
+    code = _select(prof.inside, code, int(RegimeLabel.OUT_OF_DOMAIN))
+    return code if getattr(code, "ndim", 0) else RegimeLabel(code)
 
 
 def _first_failing(holds, lo: float, hi: float) -> float:

@@ -25,7 +25,6 @@ from .core import (
     _profile_parts,
     _scalar,
     _select,
-    _unwrap,
     edge_area,
     phi_star,
 )
@@ -43,6 +42,11 @@ __all__ = [
 ]
 
 INF = float("inf")
+
+
+def _unwrap(values: np.ndarray, single: bool):
+    """The one value as a Python scalar for a single point, else the array."""
+    return values[0].item() if single else values
 
 
 def i_goe(x: float | np.ndarray) -> float | np.ndarray:

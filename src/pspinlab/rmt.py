@@ -308,7 +308,8 @@ def spherical_integral_mc(
     Frames come from QR of a Gaussian matrix with the sign convention that
     makes R's diagonal positive.  The mean is computed stably in log space;
     extras carry log_value and log_std_error for when the plain values
-    overflow.
+    overflow.  gamma and diag must be finite, as GOESpec requires of its
+    spikes; a NaN or infinite entry raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -316,6 +317,8 @@ def spherical_integral_mc(
     d = np.asarray(diag, dtype=float)
     if len(d) != n:
         raise ValueError(f"diag must have length n = {n}")
+    if not (np.isfinite(gam).all() and np.isfinite(d).all()):
+        raise ValueError(f"gamma and diag must be finite, got {list(gamma)}, {list(diag)}")
     r = len(gam)
     if r > n:
         raise ValueError("frame rank exceeds dimension")

@@ -385,6 +385,38 @@ def test_mc_det_leaves_kacrice_unloaded(tmp_path):
     assert seen == ["pspinlab.rmt"]
 
 
+def test_one_point_commands_leave_numpy_unloaded(tmp_path):
+    # classify, zeros and --help run on Python floats; a grid builds arrays
+    seen = _fresh_interpreter("""
+    import contextlib, io
+    import pspinlab.cli
+
+    def numpy_loaded():
+        return "numpy" in sys.modules
+
+    seen = {"import": numpy_loaded()}
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen["help"] = [pspinlab.cli.main(["--help"]), numpy_loaded()]
+    runs = {
+        "classify": ["classify", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--m", "0.5,0.2"],
+        "zeros": ["zeros", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--pattern", "0,1"],
+        "grid": ["grid", "--p", "3", "--r", "1", "--lam", "2.0", "--quantity", "regime",
+                 "--axis", "0:0.9:5"],
+    }
+    for name, argv in runs.items():
+        seen[name] = [pspinlab.cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]),
+                      numpy_loaded()]
+    print(json.dumps(seen))
+    """, tmp_path)
+    assert seen == {
+        "import": False,
+        "help": [0, False],
+        "classify": [0, False],
+        "zeros": [0, False],
+        "grid": [0, True],
+    }
+
+
 def test_every_exported_name_resolves_on_first_use():
     doc = _fresh_interpreter("""
     import pspinlab
@@ -512,9 +544,23 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
      "--p", "3", "--seed", "0"],
     ["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot",
      "--axis", "0:1:5", "--seed", "9"],
+    # NaN window ends, t and overlaps: NaN passes every ordering test
+    ["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1", "--lam", "1",
+     "--n", "2", "--trials", "3", "--value-window", "nan:1", "--seed", "0"],
+    ["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1", "--lam", "1",
+     "--n", "2", "--trials", "3", "--overlap-window", "nan:1", "--seed", "0"],
+    ["experiment", "--experiment", "mc-lmax", "--n", "5", "--t", "nan", "--trials", "3",
+     "--seed", "0"],
+    ["classify", "--p", "3", "--r", "1", "--lam", "1", "--m", "nan"],
+    ["experiment", "--experiment", "spherical", "--n", "3", "--gamma", "0.5",
+     "--diag", "nan,2,3", "--trials", "5", "--seed", "0"],
 ])
-def test_bad_range_and_value_exit_code(argv):
+def test_bad_range_and_value_exit_code(argv, capsys):
     assert run_cli(argv) == 2
+    # one error line (ours, or argparse's for an unknown flag) and no artifact
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert sum("error: " in line for line in err.splitlines()) == 1
 
 
 def test_grid_overflow_exit_code():
@@ -607,12 +653,14 @@ def test_unread_config_key_exit_code(tmp_path, capsys):
 
 
 def test_export_lists_agree():
-    # _LAZY names the stochastic layer without importing it, so only this
-    # test keeps it in step with rmt.__all__ and kacrice.__all__
+    # _LAZY names the modules that load on first use without importing them,
+    # so only this test keeps it in step with their __all__
     import pspinlab
     from pspinlab import core, kacrice, rates, rmt, spikes
 
     assert pspinlab._LAZY == {
+        **dict.fromkeys(rates.__all__, "rates"),
+        **dict.fromkeys(spikes.__all__, "spikes"),
         **dict.fromkeys(kacrice.__all__, "kacrice"),
         **dict.fromkeys(rmt.__all__, "rmt"),
     }

@@ -258,22 +258,11 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_stack_matches_single_points(data):
-    """Every broadcast function on an (N, r) stack equals its one-point call
-    on each row, bit for bit."""
-    r = data.draw(st.integers(1, 3))
-    p = data.draw(st.integers(3, 5))
-    k = tuple(data.draw(st.lists(st.integers(3, 5), min_size=r, max_size=r)))
-    strength = st.floats(0.0, 3.0).map(lambda v: round(v, 3))
-    lam = data.draw(st.lists(strength, min_size=r, max_size=r))
-    params = ModelParams(p=p, r=r, k=k, lam=tuple(sorted(lam, reverse=True)))
-    coord = st.one_of(st.floats(0.0, 1.0), st.floats(-0.25, 1.25), st.sampled_from([0.0, 1.0]))
-    rows = data.draw(st.lists(st.lists(coord, min_size=r, max_size=r), min_size=1, max_size=10))
-    rows += [list(sol) for sol in zero_locus_solve(params)]
+def _assert_core_stack_matches_points(params, rows, xs):
+    """The core functions of an overlap point on the (N, r) stack of rows
+    equal their one-point calls on each row, bit for bit; the value
+    functions take xs, one value per row."""
     pts = np.array(rows)
-
     parts = _profile_parts(params, pts)
     values = sigma_tot_projected(params, pts)
     codes = classify_regime(params, pts)
@@ -289,6 +278,32 @@ def test_stack_matches_single_points(data):
             assert _bits(getattr(aux, name)[i]) == _bits(getattr(one, name))
         assert _bits([aux.tau_c, aux.eta_c]) == _bits([one.tau_c, one.eta_c])
 
+    joint = {f: f(params, pts, xs) for f in (s_func, y_shift, t_func, sigma_tot_joint)}
+    grid = {f: f(params, pts, xs[:, None] + np.arange(3.0)) for f in joint}
+    for i, row in enumerate(rows):
+        for f in joint:
+            assert _bits(joint[f][i]) == _bits(f(params, row, xs[i]))
+            assert _bits(grid[f][i]) == _bits(f(params, row, xs[i] + np.arange(3.0)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_stack_matches_single_points(data):
+    """Every broadcast function on an (N, r) stack equals its one-point call
+    on each row, bit for bit."""
+    r = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(3, 5))
+    k = tuple(data.draw(st.lists(st.integers(3, 5), min_size=r, max_size=r)))
+    strength = st.floats(0.0, 3.0).map(lambda v: round(v, 3))
+    lam = data.draw(st.lists(strength, min_size=r, max_size=r))
+    params = ModelParams(p=p, r=r, k=k, lam=tuple(sorted(lam, reverse=True)))
+    coord = st.one_of(st.floats(0.0, 1.0), st.floats(-0.25, 1.25), st.sampled_from([0.0, 1.0]))
+    rows = data.draw(st.lists(st.lists(coord, min_size=r, max_size=r), min_size=1, max_size=10))
+    rows += [list(sol) for sol in zero_locus_solve(params)]
+    pts = np.array(rows)
+    xs = np.array(data.draw(st.lists(st.floats(-4.0, 6.0), min_size=len(rows), max_size=len(rows))))
+    _assert_core_stack_matches_points(params, rows, xs)
+
     inner = pts[np.all(np.abs(pts) < 1.0, axis=1)]
     theta, gram = perturbation_factors(params, inner)
     gammas = spike_eigenvalues(params, inner)
@@ -298,15 +313,13 @@ def test_stack_matches_single_points(data):
         assert _bits(gram[i]) == _bits(one_gram)
         assert _bits(gammas[i]) == _bits(spike_eigenvalues(params, row))
 
-    xs = np.array(data.draw(st.lists(st.floats(-4.0, 6.0), min_size=len(rows), max_size=len(rows))))
-    joint = {f: f(params, pts, xs) for f in (s_func, y_shift, t_func, sigma_tot_joint, sigma_max_joint)}
-    grid = {f: f(params, pts, xs[:, None] + np.arange(3.0)) for f in joint}
+    joint = sigma_max_joint(params, pts, xs)
+    grid = sigma_max_joint(params, pts, xs[:, None] + np.arange(3.0))
     smax = sigma_max_projected(params, pts)
     for i, row in enumerate(rows):
         assert _bits(smax[i]) == _bits(sigma_max_projected(params, row))
-        for f in joint:
-            assert _bits(joint[f][i]) == _bits(f(params, row, xs[i]))
-            assert _bits(grid[f][i]) == _bits(f(params, row, xs[i] + np.arange(3.0)))
+        assert _bits(joint[i]) == _bits(sigma_max_joint(params, row, xs[i]))
+        assert _bits(grid[i]) == _bits(sigma_max_joint(params, row, xs[i] + np.arange(3.0)))
     ts = xs + 2.0
     gam = np.sort(np.abs(pts) * 3.0, axis=1)[:, ::-1]
     rates = big_l(gam, ts), i_gamma(1.0 + gam[:, 0], ts), phi_star(xs), edge_area(2.0 + xs * xs)
@@ -319,16 +332,48 @@ def test_stack_matches_single_points(data):
             assert _bits(f(g, ts)) == _bits([f(g, t) for t in ts.tolist()])
 
 
+# rows holding both zeros, the sphere's edge 1.0, alpha > 1, and powers that
+# underflow to 0 or overflow to inf; at k = 4, m = 1e-45 leaves tau nonzero
+# but makes beta's ratio 0/0
+_HAZARD_ROWS = {
+    1: [[0.0], [-0.0], [1.0], [-1.0], [0.5], [-0.5], [1.5], [1e-200], [1e-45], [-1e200]],
+    2: [[0.0, 0.0], [-0.0, 0.5], [0.5, -0.0], [1.0, 0.0], [-0.0, -1.0], [0.9, 0.8],
+        [-0.6, 0.7], [2.0, -3.0], [0.3, 1e-170], [1e-45, 0.0], [1e200, 0.5], [-1e200, 0.5]],
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 1e200, 1e300])
+@pytest.mark.parametrize("p, k", [(3, (3,)), (4, (4,)), (5, (4,)), (3, (3, 3)), (4, (4, 3)),
+                                  (5, (5, 4))])
+def test_stack_matches_single_points_at_float_hazards(p, k, lam):
+    """test_stack_matches_single_points's core checks where one point on
+    Python floats could raise (tau = 0, pow overflow) or round apart from a
+    stack: spikes up to 1e300, signed zeros, the edge 1.0, alpha > 1, and
+    values x at 0, -0, the bulk edge, 1e200 and inf."""
+    r = len(k)
+    params = ModelParams(p=p, r=r, k=k, lam=(lam,) + (0.5 * lam,) * (r - 1))
+    rows = _HAZARD_ROWS[r] + [list(sol) for sol in zero_locus_solve(params)]
+    xs = np.resize([0.0, -0.0, 2.0, -3.0, 1e200, math.inf, 0.7], len(rows))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _assert_core_stack_matches_points(params, rows, xs)
+
+
 def test_distinct_powers_match_libm():
     """Powers taken once per distinct value and scattered back equal _libm
     on the whole column, bit for bit: repeats, both zeros, infinities, NaN,
-    the smallest subnormal, negative bases and a pow overflow (1e200^3)."""
+    the smallest subnormal, negative bases and a pow overflow (1e200^3),
+    whose infinities carry the C library's signs, as numpy's power does."""
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -0.7, 1e200, -1e200]
     column = np.array(special * 3 + [0.25, -0.25, 0.5, 0.5, 0.999, -0.999])
     for exponent in (0, 1, 2, 3, 4, 7, 10):
         values, back = _distinct(column)
         assert len(values) == len(special) + 5
         assert _bits(_libm(pow, values, exponent)[back]) == _bits(_libm(pow, column, exponent))
+        with np.errstate(over="ignore"):
+            infinite = np.isinf(np.power(column, float(exponent)))
+            assert _bits(_libm(pow, column, exponent)[infinite]) == _bits(
+                np.power(column, float(exponent))[infinite]
+            )
         one = column[5:6]
         values, back = _distinct(one)
         assert _bits(_libm(pow, values, exponent)[back]) == _bits(_libm(pow, one, exponent))

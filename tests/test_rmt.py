@@ -161,6 +161,16 @@ def test_spherical_integral_rank_one_oracle():
     assert rel < 0.05
 
 
+@pytest.mark.parametrize("gamma, diag", [
+    ((math.nan,), (1.0, 2.0, 3.0)), ((0.5, math.inf), (1.0, 2.0, 3.0)),
+    ((0.5,), (math.nan, 2.0, 3.0)), ((0.5,), (1.0, -math.inf, 3.0)),
+])
+def test_spherical_integral_rejects_non_finite_inputs(gamma, diag):
+    # a NaN weight would make every log term NaN and the estimate +inf
+    with pytest.raises(ValueError):
+        spherical_integral_mc(3, gamma, diag, 5, seed=0)
+
+
 def test_spherical_integral_deterministic():
     diag = np.linspace(-1.0, 1.0, 16)
     a = spherical_integral_mc(16, (0.5,), diag, 500, seed=5)
