@@ -274,21 +274,17 @@ def _by_value(column, *fns) -> list:
     return [f(values)[back] for f in fns]
 
 
-def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
-    """Overlap points as an (N, r) float array, and whether m was one point.
-
-    m is one point of shape (r,) or a stack of shape (N, r).
-    """
+def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Overlap points as a float array: one point of shape (r,) or a stack
+    of shape (N, r), as given."""
     import numpy as np
 
     pts = np.asarray(m, dtype=float)
-    if pts.ndim == 2 and pts.shape[1] == params.r:
-        return pts, False
-    if pts.shape != (params.r,):
+    if pts.ndim not in (1, 2) or pts.shape[-1] != params.r:
         raise ValueError(
             f"overlap points have shape {pts.shape}, expected (r,) or (N, r) with r = {params.r}"
         )
-    return pts.reshape(1, params.r), True
+    return pts
 
 
 def _coords(params: ModelParams, m: Sequence[float] | np.ndarray) -> list[float] | np.ndarray:
@@ -302,7 +298,7 @@ def _coords(params: ModelParams, m: Sequence[float] | np.ndarray) -> list[float]
             point = None
         if point is not None and len(point) == params.r:
             return point
-    return _points(params, m)[0].T
+    return _points(params, m).T
 
 
 class _Profile(NamedTuple):
@@ -364,12 +360,10 @@ def _along(x, *values) -> tuple:
     return tuple(v.reshape(v.shape + extra) if getattr(v, "ndim", 0) == 1 else v for v in values)
 
 
-def _joint(params: ModelParams, m: Sequence[float] | np.ndarray, x, total: bool = True):
-    """s_func at (m, x), and with total also sigma_tot_joint, t_func and
-    whether 0 < alpha < 1 (a bool for one point, an array (N,) for a stack),
-    from one pass over the profile sums."""
-    parts = _profile_parts(params, m)
-    alpha, diag_sum, cross_sum, tau, center, shift, within = _along(x, *parts)
+def _joint(params: ModelParams, prof: _Profile, x, total: bool = True):
+    """s_func at the points of the _Profile prof and values x, and with
+    total also sigma_tot_joint and t_func there."""
+    alpha, diag_sum, cross_sum, tau, center, shift, within = _along(x, *prof)
     p = params.p
     base = (
         0.5 * (math.log(p - 1) + 1)
@@ -383,14 +377,14 @@ def _joint(params: ModelParams, m: Sequence[float] | np.ndarray, x, total: bool 
         return s
     y = x - shift
     e, t = y - tau, math.sqrt(2 * p / (p - 1)) * y
-    return s, _select(within, base - e * e + phi_star(t), NEG_INF), t, parts.inside
+    return s, _select(within, base - e * e + phi_star(t), NEG_INF), t
 
 
 def s_func(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
     """Density exponent of critical points at overlap m and value x, before
     the Hessian-determinant contribution.  -inf when alpha(m) is not in (0, 1).
     """
-    return _scalar(_joint(params, m, x, total=False))
+    return _scalar(_joint(params, _profile_parts(params, m), x, total=False))
 
 
 def y_shift(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> float | np.ndarray:
@@ -408,7 +402,7 @@ def sigma_tot_joint(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> 
     """Exponential growth rate of the expected number of critical points with
     overlap profile m and value near x.  -inf off-domain.
     """
-    return _scalar(_joint(params, m, x)[1])
+    return _scalar(_joint(params, _profile_parts(params, m), x)[1])
 
 
 def sigma_tot_projected(

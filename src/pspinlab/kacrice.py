@@ -246,6 +246,9 @@ def _critical_points(
 # off by more than _MODULUS_TOL are flagged ill-conditioned.
 _MODULUS_BAND = 1e-6
 _MODULUS_TOL = 1e-10
+# Projected-gradient norm at which a point counts as critical: circle roots
+# above it are flagged ill-conditioned, and Newton starts stop at it.
+_RESIDUAL_TOL = 1e-10
 
 
 def _circle_derivative(poly: SpikedPolynomial, phi: np.ndarray) -> np.ndarray:
@@ -280,11 +283,13 @@ def _circle_roots(poly: SpikedPolynomial) -> tuple[np.ndarray, np.ndarray]:
     return angle, off[on_circle]
 
 
-def _find_on_circle(poly: SpikedPolynomial, tol: float) -> list[CriticalPoint]:
+def _find_on_circle(poly: SpikedPolynomial) -> list[CriticalPoint]:
     angles, off = _circle_roots(poly)
     sigma = np.array([[math.cos(a), math.sin(a)] for a in angles.tolist()]).reshape(-1, 2)
     points = _critical_points(poly, sigma, off > _MODULUS_TOL)
-    return [replace(pt, ill_conditioned=True) if pt.residual > tol else pt for pt in points]
+    return [
+        replace(pt, ill_conditioned=True) if pt.residual > _RESIDUAL_TOL else pt for pt in points
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -401,27 +406,26 @@ def _multistart(polys: Sequence[SpikedPolynomial], tol: float, budget: int) -> l
     return found_by_landscape
 
 
-def find_critical_points(
-    poly: SpikedPolynomial, tol: float = 1e-10, budget: int = 200
-) -> list[CriticalPoint]:
+def find_critical_points(poly: SpikedPolynomial, budget: int = 200) -> list[CriticalPoint]:
     """All critical points of the sampled landscape, sorted by (value, position).
 
     n = 2: every zero of the circle derivative, as the unit-modulus roots of
     its companion polynomial, each polished by one Newton step; roots that
-    fail the modulus or residual (tol) check are kept and marked
+    fail the modulus or residual (_RESIDUAL_TOL) check are kept and marked
     ill_conditioned.  n >= 3: budget-limited multistart Riemannian Newton,
     best-effort, run as one lockstep stack of all budget starts (the same
     stack path that count_expected runs over many landscapes); starts that
-    end with a residual above tol are dropped, and points closer than 1e-6 in
-    geodesic distance are merged.  Antipodes are distinct critical points and
-    are never identified.  budget < 1 raises ValueError at n >= 3.
+    end with a residual above _RESIDUAL_TOL are dropped, and points closer
+    than 1e-6 in geodesic distance are merged.  Antipodes are distinct
+    critical points and are never identified.  budget < 1 raises ValueError
+    at n >= 3.
     """
     if poly.n == 2:
-        return _find_on_circle(poly, tol)
-    return _multistart([poly], tol, budget)[0]
+        return _find_on_circle(poly)
+    return _multistart([poly], _RESIDUAL_TOL, budget)[0]
 
 
-def _landscapes(params: ModelParams, n: int, trials: int, seed: int, tol: float, budget: int):
+def _landscapes(params: ModelParams, n: int, trials: int, seed: int, budget: int):
     """The critical points of each landscape (seed, t), in trial order.
 
     n >= 3: as many landscapes as fill one lockstep pass are built and
@@ -429,12 +433,12 @@ def _landscapes(params: ModelParams, n: int, trials: int, seed: int, tol: float,
     """
     if n == 2:
         for t in range(trials):
-            yield find_critical_points(build_polynomial(params, n, (seed, t)), tol=tol)
+            yield find_critical_points(build_polynomial(params, n, (seed, t)))
         return
     group = max(1, _pass_rows(n) // max(budget, 1))  # _multistart rejects budget < 1
     for lo in range(0, trials, group):
         polys = [build_polynomial(params, n, (seed, t)) for t in range(lo, min(lo + group, trials))]
-        yield from _multistart(polys, tol, budget)
+        yield from _multistart(polys, _RESIDUAL_TOL, budget)
 
 
 def _window_ok(value: float, window) -> bool:
@@ -460,7 +464,6 @@ def count_expected(
     overlap_windows: Sequence | None = None,
     value_window: tuple[float, float] | None = None,
     which: str | int = "total",
-    tol: float = 1e-10,
     budget: int = 200,
 ) -> MCEstimate:
     """Monte Carlo mean of the critical-point count over fresh landscapes.
@@ -495,7 +498,7 @@ def count_expected(
     degenerate_counts = np.empty(trials)
     ill_conditioned = 0
     euler_mismatch = 0
-    for t, pts in enumerate(_landscapes(params, n, trials, seed, tol, budget)):
+    for t, pts in enumerate(_landscapes(params, n, trials, seed, budget)):
         ill_conditioned += sum(pt.ill_conditioned for pt in pts)
         if any(pt.degenerate for pt in pts) or sum((-1) ** pt.index for pt in pts) != euler:
             euler_mismatch += 1
@@ -547,6 +550,8 @@ def c_constant(n: int, r: int, p: int) -> float:
 # before the refinement check gives up: 512 per axis at r = 1, 64 at r = 2.
 _FIRST_NODES = 16
 _MAX_TENSOR_NODES = 1 << 18
+# Relative gap within which two successive rules agree.
+_EPSREL = 1e-4
 
 
 class QuadratureError(ArithmeticError):
@@ -562,7 +567,6 @@ def kac_rice_eval(
     which: str = "total",
     seed: int = 0,
     batches: int = 8,
-    epsrel: float = 1e-4,
 ) -> MCEstimate:
     """Expected number of critical points (or local maxima) at finite n, by
     Gauss-Legendre quadrature of the exact expected-count integral.
@@ -587,7 +591,7 @@ def kac_rice_eval(
     bounded size.
 
     The rule doubles from _FIRST_NODES nodes per axis (and per piece) until
-    two successive rules agree to epsrel on every batch, and the finer one is
+    two successive rules agree to _EPSREL on every batch, and the finer one is
     returned; QuadratureError is raised when that needs a rule finer than the
     node cap.  The standard error comes from the spread of the disjoint trial
     batches.
@@ -676,12 +680,12 @@ def kac_rice_eval(
         diff = np.abs(fine - coarse)
         scale = np.abs(fine)
         rel_gap = float(np.max(np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0.0)))
-        if np.all(diff <= np.maximum(epsrel * scale, 1e-12)):
+        if np.all(diff <= np.maximum(_EPSREL * scale, 1e-12)):
             break
         coarse = fine
     else:
         raise QuadratureError(
-            f"Gauss rules up to {nodes} nodes per axis still differ beyond epsrel = {epsrel}"
+            f"Gauss rules up to {nodes} nodes per axis still differ beyond epsrel = {_EPSREL}"
         )
 
     value = float(np.mean(fine))

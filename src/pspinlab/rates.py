@@ -20,6 +20,7 @@ from .core import (
     ModelParams,
     _along,
     _any,
+    _Profile,
     _joint,
     _points,
     _profile_parts,
@@ -42,11 +43,6 @@ __all__ = [
 ]
 
 INF = float("inf")
-
-
-def _unwrap(values: np.ndarray, single: bool):
-    """The one value as a Python scalar for a single point, else the array."""
-    return values[0].item() if single else values
 
 
 def i_goe(x: float | np.ndarray) -> float | np.ndarray:
@@ -181,10 +177,17 @@ def sigma_max_joint(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> 
     confinement has infinite cost (t below the bulk edge) or off-domain.
     m and x broadcast as in sigma_tot_joint.
     """
-    _, s, t, inside = _joint(params, m, x)
+    prof = _profile_parts(params, m)
     # the spectrum is defined where every |m_i| < 1, which 0 < alpha < 1 implies
-    gam = spike_eigenvalues(params, np.where(np.asarray(inside)[..., None], m, 0.0))
-    return _scalar(_select(s == -INF, s, s - big_l(gam, t)))
+    gam = spike_eigenvalues(params, np.where(np.asarray(prof.inside)[..., None], m, 0.0))
+    return _scalar(_sigma_max(params, prof, gam, x))
+
+
+def _sigma_max(params: ModelParams, prof: _Profile, gam: np.ndarray, x):
+    """sigma_max_joint at values x, from the _Profile of the points and
+    their spike spectrum gam (one per point)."""
+    _, s, t = _joint(params, prof, x)
+    return _select(s == -INF, s, s - big_l(gam, t))
 
 
 def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) -> float | np.ndarray:
@@ -201,12 +204,16 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) ->
     point is the positive root of (b^2 - a^2) t^2 - 2 a d t - (4b^2 + d^2),
     provided a t + d >= 0.  The supremum is therefore sigma_max_joint at a
     breakpoint or at a stationary point inside its piece.  A float for one
-    point of shape (r,), an array of length N for a stack (N, r), whose rows
-    pad their breakpoints to r + 1 and all take one sigma_max_joint pass.
+    point of shape (r,), an array of length N for a stack (N, r).  The
+    points inside the domain are profiled and diagonalized once, as rows
+    (a boolean mask makes one point a row), pad their breakpoints to r + 1,
+    and all take one pass of the sigma_max_joint body.
     """
-    pts, single = _points(params, m)
+    pts = _points(params, m)
     prof = _profile_parts(params, pts)
-    pts, tau, shift = pts[prof.inside], prof.tau[prof.inside], prof.shift[prof.inside]
+    inside = prof.inside
+    prof = _Profile(*(np.asarray(v)[inside] for v in prof))
+    pts, tau, shift = pts[inside], prof.tau, prof.shift
     p = params.p
     c = math.sqrt(2 * p / (p - 1))
     gam = spike_eigenvalues(params, pts)
@@ -233,7 +240,7 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) ->
     # (c * (x - shift) is t_func(params, m, x))
     while (low := c * (x - shift[:, None]) < 2.0).any():
         x = np.where(low, np.nextafter(x, INF), x)
-    out = np.full(len(prof.inside), -INF)
+    out = np.full(np.shape(inside), -INF)
     # fmax skips the NaN of unused candidates
-    out[prof.inside] = np.fmax.reduce(sigma_max_joint(params, pts, x), axis=1, initial=-INF)
-    return _unwrap(out, single)
+    out[inside] = np.fmax.reduce(_sigma_max(params, prof, gam, x), axis=1, initial=-INF)
+    return _scalar(out)

@@ -5,7 +5,8 @@ point looks like a GOE matrix plus a rank-r perturbation.  The perturbation is
 built from per-spike curvature weights theta_i and the Gram matrix of the
 projected spike directions; its eigenvalues gamma_1 >= ... >= gamma_r feed the
 large-deviation rates that separate saddles from local maxima.  Both functions
-take one overlap point of shape (r,) or a stack of shape (N, r); a stack is
+take one overlap point of shape (r,) or a stack of shape (N, r) and compute
+over its leading axes, so one point needs no wrapper; a stack is
 diagonalized as one batch, with the same bits as its points one by one.
 """
 from __future__ import annotations
@@ -30,7 +31,7 @@ def perturbation_factors(
     -m_i m_j / sqrt((1 - m_i^2)(1 - m_j^2)).  Requires |m_i| < 1 for all i.
     Shapes (r,) and (r, r) for one point, (N, r) and (N, r, r) for a stack.
     """
-    pts, single = _points(params, m)
+    pts = _points(params, m)
     if np.any(np.abs(pts) >= 1.0):
         raise ValueError("perturbation is degenerate at |m_i| = 1")
     p = params.p
@@ -40,13 +41,13 @@ def perturbation_factors(
     # a float exponent array of the full shape: a broadcast or integer exponent
     # can send numpy down its scalar-exponent fast path (x*x for 2), whose bits
     # differ from the power loop that a single point of r > 1 takes
-    power = pts ** np.tile(k - 2.0, (len(pts), 1))
+    power = pts ** np.tile(k - 2.0, pts.shape[:-1] + (1,))
     theta = math.sqrt(2.0 / (p * (p - 1))) * k * (k - 1) * lam * power * rem
     root = np.sqrt(rem)
-    gram = -(pts[:, :, None] * pts[:, None, :]) / (root[:, :, None] * root[:, None, :])
+    gram = -(pts[..., :, None] * pts[..., None, :]) / (root[..., :, None] * root[..., None, :])
     diag = np.arange(params.r)
-    gram[:, diag, diag] = 1.0
-    return (theta[0], gram[0]) if single else (theta, gram)
+    gram[..., diag, diag] = 1.0
+    return theta, gram
 
 
 def spike_eigenvalues(params: ModelParams, m: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -58,19 +59,19 @@ def spike_eigenvalues(params: ModelParams, m: Sequence[float] | np.ndarray) -> n
     general eigensolver handles mixed signs.  Shape (r,) for one point,
     (N, r) for a stack, whose matrices are solved in one batched call.
     """
-    pts, single = _points(params, m)
-    theta, gram = perturbation_factors(params, pts)
+    theta, gram = perturbation_factors(params, m)
     vals = theta
     if params.r > 1:
         # eigvalsh sorts ascending; sqrt(|theta|) is sqrt(theta) on the rows it keeps
         root = np.sqrt(np.abs(theta))
-        vals = np.linalg.eigvalsh(gram * (root[:, :, None] * root[:, None, :]))
-        mixed = ~np.all(theta >= 0.0, axis=1)
+        vals = np.linalg.eigvalsh(gram * (root[..., :, None] * root[..., None, :]))
+        mixed = ~np.all(theta >= 0.0, axis=-1)
         if mixed.any():
-            general = np.linalg.eigvals(theta[mixed][:, :, None] * gram[mixed]).real
-            vals[mixed] = np.sort(general, axis=1)
-        vals = vals[:, ::-1]
-    return vals[0] if single else vals
+            # a boolean mask picks rows of a stack, and one point as a row
+            general = np.linalg.eigvals(theta[mixed][..., :, None] * gram[mixed]).real
+            vals[mixed] = np.sort(general, axis=-1)
+        vals = vals[..., ::-1]
+    return vals
 
 
 def spike_eigenvalues_r2(params: ModelParams, m: Sequence[float]) -> tuple[float, float]:

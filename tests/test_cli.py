@@ -552,6 +552,11 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
     ["experiment", "--experiment", "mc-lmax", "--n", "5", "--t", "nan", "--trials", "3",
      "--seed", "0"],
     ["classify", "--p", "3", "--r", "1", "--lam", "1", "--m", "nan"],
+    # a NaN fixed coordinate, which eta and gamma1 would otherwise tabulate
+    ["grid", "--p", "3", "--r", "2", "--lam", "2,1.5", "--quantity", "eta", "--fix", "1:nan",
+     "--axis", "0:0.5:3"],
+    ["grid", "--p", "3", "--r", "2", "--lam", "2,1.5", "--quantity", "gamma1", "--fix", "1:nan",
+     "--axis", "0:0.5:3"],
     ["experiment", "--experiment", "spherical", "--n", "3", "--gamma", "0.5",
      "--diag", "nan,2,3", "--trials", "5", "--seed", "0"],
 ])

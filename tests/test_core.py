@@ -35,7 +35,7 @@ from pspinlab import (
     y_shift,
     zero_locus_solve,
 )
-from pspinlab import core
+from pspinlab import core, rates
 from pspinlab.core import _distinct, _libm, _profile_parts, _zero_conditions_hold
 
 P31 = ModelParams(p=3, r=1, k=(3,), lam=(2.0,))
@@ -419,6 +419,36 @@ def test_classify_regime_builds_one_profile(monkeypatch):
     # some rows reach the wide branch, where the zero conditions are checked
     assert (np.abs(aux_statistics(P32, pts).tau) >= tau_critical(3)).any()
     assert {RegimeLabel.POSITIVE, RegimeLabel.NEGATIVE} <= set(codes.tolist())
+
+
+def test_sigma_max_projected_builds_one_profile_and_spectrum(monkeypatch):
+    calls = {"profile": [], "spectrum": [], "joint": 0}
+    build, solve, joint = rates._profile_parts, rates.spike_eigenvalues, rates.sigma_max_joint
+
+    def counting_parts(params, m):
+        calls["profile"].append(len(m))
+        return build(params, m)
+
+    def counting_spectrum(params, m):
+        calls["spectrum"].append(len(m))
+        return solve(params, m)
+
+    def counting_joint(*args):
+        calls["joint"] += 1
+        return joint(*args)
+
+    # core's name too, so that a profile built inside core is counted as well
+    monkeypatch.setattr(core, "_profile_parts", counting_parts)
+    monkeypatch.setattr(rates, "_profile_parts", counting_parts)
+    monkeypatch.setattr(rates, "spike_eigenvalues", counting_spectrum)
+    monkeypatch.setattr(rates, "sigma_max_joint", counting_joint)
+    # the unit square reaches past the ball, so some rows are off-domain
+    pts = _tensor_grid(np.linspace(0.0, 1.0, 30))
+    alpha = (pts * pts).sum(axis=1)
+    inside = (0.0 < alpha) & (alpha < 1.0)
+    values = sigma_max_projected(P32, pts)
+    assert calls == {"profile": [len(pts)], "spectrum": [int(inside.sum())], "joint": 0}
+    assert np.isfinite(values[inside]).all() and (values[~inside] == -math.inf).all()
 
 
 def test_single_point_returns_python_scalars():

@@ -526,7 +526,7 @@ def test_lockstep_multistart_matches_per_start_oracle(n, lam):
 
     params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
     seed, trials, budget = 60 + n, 8, 12
-    stacked = list(_landscapes(params, n, trials, seed, 1e-10, budget))
+    stacked = list(_landscapes(params, n, trials, seed, budget))
     assert len(stacked) == trials
     for t, points in enumerate(stacked):
         _assert_same_points(points, _oracle_search(build_polynomial(params, n, (seed, t)), budget))
@@ -536,7 +536,7 @@ def test_lockstep_multistart_mixed_degrees():
     from pspinlab.kacrice import _landscapes
 
     params = ModelParams(p=3, r=2, k=(3, 4), lam=(1.0, 0.5))
-    for t, points in enumerate(_landscapes(params, 3, 6, 70, 1e-10, 12)):
+    for t, points in enumerate(_landscapes(params, 3, 6, 70, 12)):
         _assert_same_points(points, _oracle_search(build_polynomial(params, 3, (70, t)), 12))
 
 
@@ -574,7 +574,7 @@ def test_find_critical_points_matches_count_stack():
 
     trials, budget = 12, 40
     assert trials * budget > _pass_rows(3)
-    stacked = list(_landscapes(P1, 3, trials, 72, 1e-10, budget))
+    stacked = list(_landscapes(P1, 3, trials, 72, budget))
     alone = find_critical_points(build_polynomial(P1, 3, (72, 9)), budget=budget)
     assert [pt.index for pt in alone] == [pt.index for pt in stacked[9]]
     _assert_same_points(alone, [np.asarray(pt.position) for pt in stacked[9]])
