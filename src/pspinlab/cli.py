@@ -10,30 +10,17 @@ wall_time fields.  Exit codes: 0 success, 2 usage error, 3 non-convergence,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
+import importlib
 import itertools
 import math
 import sys
 import time
 from typing import Sequence
 
-# classify, zeros and --help run on Python floats and never load numpy; the
-# commands that build arrays import numpy, rates and spikes themselves, and
-# experiment imports the stochastic layer it runs
-from . import __version__
-from .core import (
-    ModelParams,
-    RegimeLabel,
-    aux_statistics,
-    classify_regime,
-    eta_critical,
-    lambda_critical,
-    phi_star,
-    sigma_tot_projected,
-    tau_critical,
-    zero_locus_solve,
-)
+# every command imports the modules it runs, so --help loads none of them;
+# classify and zeros run core on Python floats and never load numpy, and the
+# commands that build arrays import numpy and the array modules themselves
+from . import _LAZY, __version__
 
 GRID_QUANTITIES = ("sigma_tot", "sigma_max", "regime", "gamma1", "tau", "eta")
 EXPERIMENTS = (
@@ -45,6 +32,14 @@ EXPERIMENTS = (
     "kacrice-count",
     "kacrice-formula",
 )
+
+
+def __getattr__(name: str):
+    """core's public names, e.g. pspinlab.cli.sigma_tot_projected, read from
+    core's current globals as the commands' own imports read them."""
+    if _LAZY.get(name) != "core":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(".core", __package__), name)
 
 
 class UsageError(Exception):
@@ -261,6 +256,8 @@ def _conv_window(v) -> tuple[float, float]:
 
 
 def _model_params(res: Resolver) -> ModelParams:
+    from .core import ModelParams
+
     p = res.get("p", int, required=True)
     r = res.get("r", int, required=True)
     k = res.get("k", _conv_ints)
@@ -271,6 +268,8 @@ def _model_params(res: Resolver) -> ModelParams:
 
 
 def _timestamp() -> str:
+    import datetime
+
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
@@ -278,6 +277,8 @@ def _timestamp() -> str:
 # subcommands
 
 def _sidecar(params: ModelParams, extra: dict) -> dict:
+    from .core import eta_critical, lambda_critical, tau_critical
+
     same_k = all(v == params.k[0] for v in params.k)
     doc = {
         "params": {
@@ -319,8 +320,7 @@ def cmd_grid(res: Resolver) -> int:
     out = res.out()
     import numpy as np
 
-    from .rates import sigma_max_projected
-    from .spikes import spike_eigenvalues
+    from .core import RegimeLabel, aux_statistics, classify_regime, sigma_tot_projected
 
     ticks = [_ticks(*a) for a in axes]
     pts = np.zeros((math.prod(len(t) for t in ticks), params.r))
@@ -335,6 +335,8 @@ def cmd_grid(res: Resolver) -> int:
         if quantity == "sigma_tot":
             values = sigma_tot_projected(params, pts)
         elif quantity == "sigma_max":
+            from .rates import sigma_max_projected
+
             values = sigma_max_projected(params, pts)
         elif quantity == "regime":
             values = sigma_tot_projected(params, pts)
@@ -342,6 +344,8 @@ def cmd_grid(res: Resolver) -> int:
         elif quantity in ("tau", "eta"):
             values = getattr(aux_statistics(params, pts), quantity)
         else:
+            from .spikes import spike_eigenvalues
+
             # gamma1 is -inf where the perturbation degenerates (some |m_i| >= 1)
             values = np.full(len(pts), -math.inf)
             ok = np.all(np.abs(pts) < 1.0, axis=1)
@@ -385,6 +389,10 @@ def cmd_classify(res: Resolver) -> int:
     m = res.get("m", _conv_floats, required=True)
     tol = res.get("tol", _float, default=1e-6)
     out = res.out()
+    import dataclasses
+
+    from .core import aux_statistics, classify_regime, sigma_tot_projected
+
     label = classify_regime(params, m, tol=tol)
     aux = aux_statistics(params, m)
     # a huge spike overflows tau^2 to NaN, which the check below reports
@@ -405,6 +413,8 @@ def cmd_zeros(res: Resolver) -> int:
     params = _model_params(res)
     pattern = res.get("pattern", _conv_ints)
     out = res.out()
+    from .core import sigma_tot_projected, zero_locus_solve
+
     sols = zero_locus_solve(params, pattern)
     doc = {
         "pattern": list(pattern) if pattern is not None else list(range(params.r)),
@@ -448,8 +458,9 @@ def cmd_experiment(res: Resolver) -> int:
     extras: dict = {}
 
     # the stochastic layer is imported here, so that closed-form commands
-    # never load it
+    # never load it; rates loads only for the two experiments that need it
     if name in ("mc-det", "mc-lmax", "mc-restricted", "esd"):
+        from .core import phi_star
         from .rmt import (
             GOESpec,
             esd_distance,
@@ -457,7 +468,6 @@ def cmd_experiment(res: Resolver) -> int:
             mc_log_abs_det,
             mc_restricted_det,
         )
-        from .rates import big_l
 
         n = res.get("n", int, required=True)
         gamma = res.get("gamma", _conv_floats, default=())
@@ -479,9 +489,13 @@ def cmd_experiment(res: Resolver) -> int:
                 est = mc_log_abs_det(spec, trials)
                 theory = phi_star(shift)
             elif name == "mc-restricted":
+                from .rates import big_l
+
                 est = mc_restricted_det(spec, trials)
                 theory = phi_star(shift) - big_l(gam_desc, shift)
             else:
+                from .rates import big_l
+
                 est = mc_lambda_max_tail(spec, trials, t)
                 theory = -big_l(gam_desc, t) if shift == 0.0 else None
             estimate, std_error = est.value, est.std_error

@@ -472,10 +472,10 @@ def count_expected(
     every critical point (find_critical_points on each landscape).  n >= 3
     runs the budgeted multistart Newton of find_critical_points, with the
     starts of many landscapes advanced together in one lockstep stack; it
-    gives the same points as a search of each landscape alone.  budget < 1
-    raises ValueError at n >= 3.  overlap_windows, when given, holds one
-    (lo, hi) window or None per coordinate; a list of another length raises
-    ValueError.
+    gives the same points as a search of each landscape alone.  n < 2, and
+    budget < 1 at n >= 3, raise ValueError.  overlap_windows, when given,
+    holds one (lo, hi) window or None per coordinate; a list of another
+    length raises ValueError.
 
     which is "total", a Morse index, or "max" (index n - 1); index-resolved
     counts exclude degenerate points, whose per-trial mean rides along in
@@ -488,6 +488,8 @@ def count_expected(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     windows = _overlap_windows(params, overlap_windows)
     if which == "max":
         which = n - 1
@@ -594,12 +596,15 @@ def kac_rice_eval(
     two successive rules agree to _EPSREL on every batch, and the finer one is
     returned; QuadratureError is raised when that needs a rule finer than the
     node cap.  The standard error comes from the spread of the disjoint trial
-    batches.
+    batches; batches < 1, or fewer inner trials than batches, raise
+    ValueError.
     """
     if params.r > n - 1:
         raise ValueError("the expected-count integral needs r <= n - 1")
     if which not in ("total", "max"):
         raise ValueError(f'which must be "total" or "max", got {which!r}')
+    if batches < 1:
+        raise ValueError(f"batches must be >= 1, got {batches}")
     if inner_trials < batches:
         raise ValueError("inner_trials must be at least the number of batches")
 

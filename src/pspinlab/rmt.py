@@ -295,6 +295,11 @@ def esd_distance(spec: GOESpec) -> dict[str, float]:
     return {"w1": w1, "d_bl": d_bl}
 
 
+# Entries of the Gaussian draws that spherical_integral_mc factors in one
+# stacked QR (512 KiB of float64).
+_FRAME_ENTRIES = 1 << 16
+
+
 def spherical_integral_mc(
     n: int,
     gamma: Sequence[float],
@@ -323,15 +328,19 @@ def spherical_integral_mc(
     if r > n:
         raise ValueError("frame rank exceeds dimension")
 
-    def worker(t: int) -> float:
-        rng = np.random.default_rng((seed, t))
-        z = rng.normal(size=(n, r))
+    # each trial draws from its own stream; a chunk of trials shares one
+    # stacked QR, sign fix and weighting, while the exponent stays a dot per
+    # trial (a matrix product sums the r terms in another order at r >= 2)
+    exps = np.empty(trials)
+    chunk = max(1, _FRAME_ENTRIES // max(n * r, 1))
+    for lo in range(0, trials, chunk):
+        ts = range(lo, min(lo + chunk, trials))
+        z = np.stack([np.random.default_rng((seed, t)).normal(size=(n, r)) for t in ts])
         q, rm = np.linalg.qr(z)
-        q = q * np.sign(np.diag(rm))
-        quad = np.einsum("j,ji->i", d, q * q)
-        return float(0.5 * n * np.dot(gam, quad))
-
-    exps = np.array([worker(t) for t in range(trials)])
+        q = q * np.sign(np.diagonal(rm, axis1=1, axis2=2))[:, None, :]
+        quad = np.einsum("j,tji->ti", d, q * q)
+        for i, t in enumerate(ts):
+            exps[t] = 0.5 * n * np.dot(gam, quad[i])
     log_mean, se_log, weights = _log_mean_exp(exps)
     value = math.exp(log_mean) if log_mean < 700 else float("inf")
     se = value * se_log if math.isfinite(value) else float("inf")

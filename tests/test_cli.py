@@ -354,8 +354,8 @@ def _fresh_interpreter(code, *argv):
 
 
 _LOADED = """
-    def loaded():
-        return [k for k in ("pspinlab.kacrice", "pspinlab.rmt") if k in sys.modules]
+    def loaded(names=("pspinlab.kacrice", "pspinlab.rmt")):
+        return [k for k in names if k in sys.modules]
 """
 
 
@@ -383,6 +383,40 @@ def test_mc_det_leaves_kacrice_unloaded(tmp_path):
     print(json.dumps(loaded()))
     """, tmp_path)
     assert seen == ["pspinlab.rmt"]
+
+
+def test_help_and_bad_flag_load_no_command_module():
+    # argparse alone answers them: no core, numpy, dataclasses or datetime
+    seen = _fresh_interpreter(_LOADED + """
+    import contextlib, io
+    import pspinlab.cli
+    names = ("pspinlab.core", "numpy", "dataclasses", "datetime")
+    seen = {"import": loaded(names)}
+    for argv in (["--help"], ["grid", "--no-such-flag"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            seen[argv[-1]] = [pspinlab.cli.main(argv), loaded(names)]
+    print(json.dumps(seen))
+    """)
+    assert seen == {"import": [], "--help": [0, []], "--no-such-flag": [2, []]}
+
+
+def test_commands_load_no_rate_or_spike_module_they_do_not_run(tmp_path):
+    # a sigma_tot grid runs core alone, and mc-det needs core's phi_star only
+    seen = _fresh_interpreter(_LOADED + """
+    import pspinlab.cli
+    names = ("pspinlab.rates", "pspinlab.spikes")
+    runs = {
+        "grid": ["grid", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--quantity", "sigma_tot",
+                 "--axis", "0:0.9:5", "--axis", "0:0.9:5"],
+        "mc-det": ["experiment", "--experiment", "mc-det", "--n", "20", "--trials", "5",
+                   "--seed", "0"],
+    }
+    seen = {}
+    for name, argv in runs.items():
+        seen[name] = [pspinlab.cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]), loaded(names)]
+    print(json.dumps(seen))
+    """, tmp_path)
+    assert seen == {"grid": [0, []], "mc-det": [0, []]}
 
 
 def test_one_point_commands_leave_numpy_unloaded(tmp_path):
@@ -420,6 +454,8 @@ def test_one_point_commands_leave_numpy_unloaded(tmp_path):
 def test_every_exported_name_resolves_on_first_use():
     doc = _fresh_interpreter("""
     import pspinlab
+    # a submodule resolves before any of its names has loaded it
+    submodule = pspinlab.core.__name__
     resolved = [name for name in pspinlab.__all__ if getattr(pspinlab, name, None) is not None]
     star = {}
     exec("from pspinlab import *", star)
@@ -435,6 +471,7 @@ def test_every_exported_name_resolves_on_first_use():
         "undirected": sorted(set(pspinlab.__all__) - set(dir(pspinlab))),
         "stored": sorted({"GOESpec", "kac_rice_eval"} & set(vars(pspinlab))),
         "unknown": unknown,
+        "submodule": submodule,
     }))
     """)
     assert doc["resolved"] == doc["all"]
@@ -444,6 +481,7 @@ def test_every_exported_name_resolves_on_first_use():
     # submodule's global is seen by every later lookup
     assert doc["stored"] == []
     assert doc["unknown"] == "AttributeError"
+    assert doc["submodule"] == "pspinlab.core"
 
 
 def _kacrice(tmp_path, name, *extra):
@@ -559,6 +597,12 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
      "--axis", "0:0.5:3"],
     ["experiment", "--experiment", "spherical", "--n", "3", "--gamma", "0.5",
      "--diag", "nan,2,3", "--trials", "5", "--seed", "0"],
+    # zero batches would divide the inner trials by zero, and one dimension
+    # leaves no circle to count on
+    ["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "1", "--lam", "1",
+     "--n", "2", "--batches", "0", "--seed", "0"],
+    ["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1", "--lam", "1",
+     "--n", "1", "--trials", "2", "--seed", "0"],
 ])
 def test_bad_range_and_value_exit_code(argv, capsys):
     assert run_cli(argv) == 2
@@ -664,6 +708,7 @@ def test_export_lists_agree():
     from pspinlab import core, kacrice, rates, rmt, spikes
 
     assert pspinlab._LAZY == {
+        **dict.fromkeys(core.__all__, "core"),
         **dict.fromkeys(rates.__all__, "rates"),
         **dict.fromkeys(spikes.__all__, "spikes"),
         **dict.fromkeys(kacrice.__all__, "kacrice"),

@@ -178,6 +178,41 @@ def test_spherical_integral_deterministic():
     assert a.value == b.value
 
 
+def _spherical_loop(n, gamma, diag, trials, seed):
+    """spherical_integral_mc one frame at a time: the reference for the
+    chunked frames, which must give the same bits."""
+    from pspinlab import rmt
+
+    gam, d = np.asarray(gamma, dtype=float), np.asarray(diag, dtype=float)
+    exps = []
+    for t in range(trials):
+        z = np.random.default_rng((seed, t)).normal(size=(n, len(gam)))
+        q, rm = np.linalg.qr(z)
+        q = q * np.sign(np.diag(rm))
+        exps.append(float(0.5 * n * np.dot(gam, np.einsum("j,ji->i", d, q * q))))
+    log_mean, se_log, weights = rmt._log_mean_exp(np.array(exps))
+    value = math.exp(log_mean) if log_mean < 700 else math.inf
+    se = value * se_log if math.isfinite(value) else math.inf
+    return value, se, {"log_value": log_mean, "log_std_error_of_log": se_log, **weights}
+
+
+@pytest.mark.parametrize("n", [5, 30, 200])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("entries", [None, 7])
+def test_spherical_integral_chunks_match_per_trial_loop(monkeypatch, n, r, entries):
+    # entries = 7 frames per chunk puts chunk ends inside the run
+    from pspinlab import rmt
+
+    if entries is not None:
+        monkeypatch.setattr(rmt, "_FRAME_ENTRIES", entries * n * r)
+    gamma = (0.8, -0.3, 1.7)[:r]
+    diag = np.sort(np.random.default_rng(n).uniform(-1.0, 1.0, size=n))
+    trials = 250
+    est = spherical_integral_mc(n, gamma, diag, trials, seed=4)
+    value, se, extras = _spherical_loop(n, gamma, diag, trials, 4)
+    assert (est.value, est.std_error, est.extras) == (value, se, extras)
+
+
 def test_underflow_flag_exposed():
     spec = GOESpec(n=2, seed=1)
     est = mc_log_abs_det(spec, 10)
