@@ -18,8 +18,10 @@ import time
 from typing import Sequence
 
 # every command imports the modules it runs, so --help loads none of them;
-# classify and zeros run core on Python floats and never load numpy, and the
-# commands that build arrays import numpy and the array modules themselves
+# classify, zeros, rate tables and grids of core's quantities up to
+# _FLOAT_CELLS cells run the one-point bodies on Python floats and never
+# load numpy; the commands that build arrays import numpy and the array
+# modules themselves
 from . import _LAZY, __version__
 
 GRID_QUANTITIES = ("sigma_tot", "sigma_max", "regime", "gamma1", "tau", "eta")
@@ -32,6 +34,20 @@ EXPERIMENTS = (
     "kacrice-count",
     "kacrice-formula",
 )
+# the grid quantities of core, whose one-point bodies run on Python floats
+_FLOAT_QUANTITIES = ("sigma_tot", "regime", "tau", "eta")
+# A grid of these quantities, or a rate table, of at most this many cells
+# (rows) runs one cell at a time on Python floats and never imports numpy;
+# a larger one builds a numpy stack.  The slowest quantity, regime, crosses
+# over between 2,025 and 3,025 cells: fresh processes pinned to one vCPU
+# (Intel Xeon, Python 3.11, numpy 2.4) took 201 ms on floats against 213 ms
+# on the stack for 2,025 cells at r = 2, and 196 ms against 177 ms for
+# 3,025 (medians of 7).  A rate row costs about what a regime cell does
+# (24-32 us against 27-33 us on floats).
+_FLOAT_CELLS = 2048
+# the most cells a grid, or rows a rate table, may have; checked before
+# anything is built
+_MAX_CELLS = 1_000_000
 
 
 def __getattr__(name: str):
@@ -100,6 +116,17 @@ def to_json(obj, indent: int = 0) -> str:
         rows = [f"{inner}{to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     return _json_scalar(obj)
+
+
+def _cells(values: list[float], quantity: str) -> list[str]:
+    """fmt_float's rules over a column of floats, at one format call per
+    cell; a NaN anywhere is a usage error."""
+    cells = [format(v, ".17g") for v in values]
+    if "nan" in cells:
+        raise UsageError(f"{quantity} on this grid leaves the float range (NaN)")
+    if "inf" in cells:
+        cells = ["+inf" if c == "inf" else c for c in cells]
+    return cells
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -226,6 +253,12 @@ def _conv_range(v) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+def _check_size(size: int, what: str) -> None:
+    """Refuse a table of more than _MAX_CELLS cells before it is built."""
+    if size > _MAX_CELLS:
+        raise UsageError(f"{size} {what} requested, at most {_MAX_CELLS} allowed")
+
+
 def _ticks(lo: float, hi: float, steps: int) -> list[float]:
     """steps evenly spaced values from lo to hi; just lo when steps == 1."""
     return [lo + (hi - lo) * j / max(steps - 1, 1) for j in range(steps)]
@@ -317,46 +350,55 @@ def cmd_grid(res: Resolver) -> int:
         )
     if not 1 <= len(swept) <= 2:
         raise UsageError("full grids sweep 1 or 2 coordinates; use --fix for the rest")
+    size = math.prod(steps for _, _, steps in axes)
+    _check_size(size, "grid cells")
     out = res.out()
-    import numpy as np
-
     from .core import RegimeLabel, aux_statistics, classify_regime, sigma_tot_projected
 
+    def core_value(m):
+        """The quantity at one point or over a stack: core's one body."""
+        if quantity in ("sigma_tot", "regime"):
+            return sigma_tot_projected(params, m)
+        return getattr(aux_statistics(params, m), quantity)
+
     ticks = [_ticks(*a) for a in axes]
-    pts = np.zeros((math.prod(len(t) for t in ticks), params.r))
-    for idx, val in fixed.items():
-        pts[:, idx] = val
-    for idx, mesh in zip(swept, np.meshgrid(*ticks, indexing="ij")):
-        pts[:, idx] = mesh.ravel()
-
     codes = None
-    # a huge spike overflows the sums to inf and NaN, which the check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        if quantity == "sigma_tot":
-            values = sigma_tot_projected(params, pts)
-        elif quantity == "sigma_max":
-            from .rates import sigma_max_projected
+    if quantity in _FLOAT_QUANTITIES and size <= _FLOAT_CELLS:
+        # cell by cell on Python floats, in the order of meshgrid(indexing="ij")
+        points = []
+        for combo in itertools.product(*ticks):
+            coords = {**fixed, **dict(zip(swept, combo))}
+            points.append([coords[i] for i in range(params.r)])
+        values = [core_value(m) for m in points]
+        if quantity == "regime":
+            codes = [int(classify_regime(params, m)) for m in points]
+    else:
+        import numpy as np
 
-            values = sigma_max_projected(params, pts)
-        elif quantity == "regime":
-            values = sigma_tot_projected(params, pts)
-            codes = classify_regime(params, pts).tolist()
-        elif quantity in ("tau", "eta"):
-            values = getattr(aux_statistics(params, pts), quantity)
-        else:
-            from .spikes import spike_eigenvalues
+        pts = np.zeros((size, params.r))
+        for idx, val in fixed.items():
+            pts[:, idx] = val
+        for idx, mesh in zip(swept, np.meshgrid(*ticks, indexing="ij")):
+            pts[:, idx] = mesh.ravel()
+        # a huge spike overflows the sums to inf and NaN, which _cells reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            if quantity == "sigma_max":
+                from .rates import sigma_max_projected
 
-            # gamma1 is -inf where the perturbation degenerates (some |m_i| >= 1)
-            values = np.full(len(pts), -math.inf)
-            ok = np.all(np.abs(pts) < 1.0, axis=1)
-            values[ok] = spike_eigenvalues(params, pts[ok])[:, 0]
-    # fmt_float's rules, applied to the whole column at once
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        raise UsageError(f"{quantity} on this grid leaves the float range (NaN)")
-    cells = [format(v, ".17g") for v in values.tolist()]
-    for i in np.flatnonzero(np.isinf(values)).tolist():
-        cells[i] = "+inf" if values[i] > 0 else "-inf"
+                values = sigma_max_projected(params, pts)
+            elif quantity == "gamma1":
+                from .spikes import spike_eigenvalues
+
+                # gamma1 is -inf where the perturbation degenerates (some |m_i| >= 1)
+                values = np.full(len(pts), -math.inf)
+                ok = np.all(np.abs(pts) < 1.0, axis=1)
+                values[ok] = spike_eigenvalues(params, pts[ok])[:, 0]
+            else:
+                values = core_value(pts)
+                if quantity == "regime":
+                    codes = classify_regime(params, pts).tolist()
+        values = np.asarray(values, dtype=float).tolist()
+    cells = _cells(values, quantity)
 
     header = ",".join(f"m{j + 1}" for j in range(len(swept))) + ",value"
     labels = [[fmt_float(v) for v in t] for t in ticks]
@@ -430,18 +472,25 @@ def cmd_rate(res: Resolver) -> int:
     ts = res.get_list("t", _float, default=[])
     rng = res.get("t_range", _conv_range)
     if rng is not None:
+        _check_size(len(ts) + rng[2], "rate rows")
         ts += _ticks(*rng)
     if not ts:
         raise UsageError("need --t or --t-range")
     out = res.out()
-    import numpy as np
-
     from .rates import big_l, big_l_left, i_max
 
-    tcol = np.array(ts)
-    with np.errstate(over="ignore"):
-        # the rates check that gamma is non-increasing
-        columns = [ts] + [f(gamma, tcol).tolist() for f in (i_max, big_l, big_l_left)]
+    # the rates check that gamma is non-increasing
+    rates = (i_max, big_l, big_l_left)
+    if len(ts) <= _FLOAT_CELLS:
+        # row by row on Python floats
+        columns = [ts] + [[f(gamma, t) for t in ts] for f in rates]
+    else:
+        import numpy as np
+
+        tcol = np.array(ts)
+        # a huge spike overflows to inf - inf, which fmt_float reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = [ts] + [f(gamma, tcol).tolist() for f in rates]
     rows = ["t,i_max,L,L_left"] + [",".join(map(fmt_float, row)) for row in zip(*columns)]
     _write_text(out, "\n".join(rows) + "\n")
     return 0

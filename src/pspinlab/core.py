@@ -23,9 +23,13 @@ take a value x: a float or any array for one point, for a stack an array
 whose leading axis runs over its points.  edge_area and phi_star take floats
 or arrays.  +, -, *, / and sqrt are IEEE on floats and arrays alike, and
 powers, logarithms and asinh go through the C library one float at a time
-(_libm), so a stack has the bits of its points one by one; the coordinate
-powers of a stack are taken once per distinct coordinate value (_by_value),
-which on a tensor grid is once per tick.
+(_libm), so a stack has the bits of its points one by one, except for the
+sign and payload of a NaN, made by an overflow (inf - inf) or carried
+from a NaN input, which can differ between a stack and its points.  No NaN
+reaches an artifact: the CLI refuses a NaN value with exit code 2, or
+writes JSON null.  The coordinate powers of a stack are taken once per
+distinct coordinate value (_by_value), which on a tensor grid is once per
+tick.
 """
 from __future__ import annotations
 

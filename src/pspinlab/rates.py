@@ -7,14 +7,17 @@ below that it is invisible at this scale.  Every function here is closed form:
 sigma_max_projected maximizes piece by piece through the roots of a
 quadratic, with no numerical search, over a whole stack of overlap points in
 one pass.  i_gamma, i_max, big_l, big_l_left and sigma_max_joint broadcast
-as in core.  Quadrature and scalar searches appear only in the test oracles.
+as in core, through one body each: for one spectrum (a sequence) and a
+float t or x, i_gamma, i_max, big_l and big_l_left run on Python floats
+and never import numpy.  numpy loads with an array argument, and numpy and
+spikes in the sigma_max functions, which diagonalize the spike
+perturbation.  Quadrature and scalar searches appear only in the test
+oracles.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ModelParams,
@@ -29,7 +32,9 @@ from .core import (
     edge_area,
     phi_star,
 )
-from .spikes import spike_eigenvalues
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "i_goe",
@@ -91,17 +96,31 @@ def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndar
         + 0.125 * (x * x - e * e)
     )
     # the rate is >= 0; near x = e = 2 the three terms cancel to -1e-16 noise
-    value = np.maximum(value, 0.0)
+    # (clipped as np.maximum(value, 0.0) clips: -0.0 becomes 0.0, NaN stays)
+    value = _select(value <= 0.0, 0.0, value)
     return _scalar(_select(off, INF, value))
 
 
-def _descending(gamma) -> np.ndarray:
-    """gamma as a float array, checked free of NaN, which passes every
-    ordering test, and non-increasing along its last axis."""
+def _descending(gamma) -> tuple:
+    """The spikes of gamma, leading one first: r floats for one spectrum of
+    shape (r,), read without numpy, or the r columns of a stack (N, r).
+    Checked free of NaN, which passes every ordering test, and
+    non-increasing along each spectrum."""
+    if getattr(gamma, "ndim", 1) == 1:
+        try:
+            spikes = tuple(float(g) for g in gamma)
+        except TypeError:  # a stack given as nested sequences
+            spikes = None
+        if spikes is not None:
+            if any(g != g for g in spikes) or any(a < b for a, b in zip(spikes, spikes[1:])):
+                raise ValueError(f"gamma must be free of NaN and non-increasing, got {spikes}")
+            return spikes
+    import numpy as np
+
     gamma = np.asarray(gamma, dtype=float)
     if np.isnan(gamma).any() or (gamma[..., :-1] < gamma[..., 1:]).any():
         raise ValueError(f"gamma must be free of NaN and non-increasing, got {gamma}")
-    return gamma
+    return tuple(gamma.T)
 
 
 def i_max(gamma: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
@@ -117,7 +136,7 @@ def i_max(gamma: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
     float or an array.
     """
     gamma = _descending(gamma)
-    g1 = float(gamma[0]) if len(gamma) else 0.0
+    g1 = gamma[0] if gamma else 0.0
     # edge_area needs x >= 2, and at x = +inf the branches are inf - inf;
     # both ends are applied last
     off = (x < 2) | (x == INF)
@@ -148,11 +167,10 @@ def big_l(gamma: Sequence[float] | np.ndarray, t) -> float | np.ndarray:
     float or an array, or a stack (N, r) with t an array whose leading axis
     runs over its rows; each spectrum must be non-increasing.
     """
-    gamma = _descending(gamma)
     total = 0.0
-    for g in gamma.T:  # one spike at a time, over every spectrum
+    for g in _descending(gamma):  # one spike at a time, over every spectrum
         # a subcritical spike counts as gamma = 1, pushed only below the edge
-        (g,) = _along(t, np.maximum(g, 1.0))
+        (g,) = _along(t, _select(g < 1.0, 1.0, g))
         pushed = g + 1.0 / g > t
         if _any(pushed):
             total = total + _select(pushed, i_gamma(g, t), 0.0)
@@ -177,6 +195,10 @@ def sigma_max_joint(params: ModelParams, m: Sequence[float] | np.ndarray, x) -> 
     confinement has infinite cost (t below the bulk edge) or off-domain.
     m and x broadcast as in sigma_tot_joint.
     """
+    import numpy as np
+
+    from .spikes import spike_eigenvalues
+
     prof = _profile_parts(params, m)
     # the spectrum is defined where every |m_i| < 1, which 0 < alpha < 1 implies
     gam = spike_eigenvalues(params, np.where(np.asarray(prof.inside)[..., None], m, 0.0))
@@ -209,6 +231,10 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) ->
     (a boolean mask makes one point a row), pad their breakpoints to r + 1,
     and all take one pass of the sigma_max_joint body.
     """
+    import numpy as np
+
+    from .spikes import spike_eigenvalues
+
     pts = _points(params, m)
     prof = _profile_parts(params, pts)
     inside = prof.inside

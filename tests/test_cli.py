@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pspinlab import ModelParams, RegimeLabel, sigma_tot_projected
+from pspinlab import cli
 from pspinlab.cli import fmt_float, main, to_json
 
 
@@ -401,7 +402,8 @@ def test_help_and_bad_flag_load_no_command_module():
 
 
 def test_commands_load_no_rate_or_spike_module_they_do_not_run(tmp_path):
-    # a sigma_tot grid runs core alone, and mc-det needs core's phi_star only
+    # a sigma_tot grid runs core alone, mc-det needs core's phi_star only,
+    # and the rates of rate and mc-lmax need no spike spectrum
     seen = _fresh_interpreter(_LOADED + """
     import pspinlab.cli
     names = ("pspinlab.rates", "pspinlab.spikes")
@@ -410,18 +412,24 @@ def test_commands_load_no_rate_or_spike_module_they_do_not_run(tmp_path):
                  "--axis", "0:0.9:5", "--axis", "0:0.9:5"],
         "mc-det": ["experiment", "--experiment", "mc-det", "--n", "20", "--trials", "5",
                    "--seed", "0"],
+        "rate": ["rate", "--gamma", "1.5,0.5", "--t-range", "2:4:9"],
+        "mc-lmax": ["experiment", "--experiment", "mc-lmax", "--n", "20", "--gamma", "1.5",
+                    "--t", "2.5", "--trials", "5", "--seed", "0"],
     }
     seen = {}
     for name, argv in runs.items():
         seen[name] = [pspinlab.cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]), loaded(names)]
     print(json.dumps(seen))
     """, tmp_path)
-    assert seen == {"grid": [0, []], "mc-det": [0, []]}
+    assert seen == {
+        "grid": [0, []],
+        "mc-det": [0, []],
+        "rate": [0, ["pspinlab.rates"]],
+        "mc-lmax": [0, ["pspinlab.rates"]],
+    }
 
 
-def test_one_point_commands_leave_numpy_unloaded(tmp_path):
-    # classify, zeros and --help run on Python floats; a grid builds arrays
-    seen = _fresh_interpreter("""
+_NUMPY_LOADED = """
     import contextlib, io
     import pspinlab.cli
 
@@ -431,24 +439,43 @@ def test_one_point_commands_leave_numpy_unloaded(tmp_path):
     seen = {"import": numpy_loaded()}
     with contextlib.redirect_stdout(io.StringIO()):
         seen["help"] = [pspinlab.cli.main(["--help"]), numpy_loaded()]
-    runs = {
-        "classify": ["classify", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--m", "0.5,0.2"],
-        "zeros": ["zeros", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--pattern", "0,1"],
-        "grid": ["grid", "--p", "3", "--r", "1", "--lam", "2.0", "--quantity", "regime",
-                 "--axis", "0:0.9:5"],
-    }
-    for name, argv in runs.items():
+    for name, argv in json.loads(sys.argv[2]).items():
         seen[name] = [pspinlab.cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]),
                       numpy_loaded()]
     print(json.dumps(seen))
-    """, tmp_path)
+"""
+
+
+def test_one_point_commands_leave_numpy_unloaded(tmp_path):
+    # classify, zeros, rate and a core grid of at most _FLOAT_CELLS cells run
+    # on Python floats; a grid that builds arrays loads numpy, each in its
+    # own interpreter
+    from pspinlab.cli import _FLOAT_CELLS
+
+    regime = ["grid", "--p", "3", "--r", "1", "--lam", "2.0", "--quantity", "regime"]
+    floats = {
+        "classify": ["classify", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--m", "0.5,0.2"],
+        "zeros": ["zeros", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--pattern", "0,1"],
+        "rate": ["rate", "--gamma", "1.5,0.5", "--t-range", "2:4:81"],
+        "small-grid": [*regime, "--axis", f"0:0.9:{_FLOAT_CELLS}"],
+    }
+    arrays = {
+        "grid": [*regime, "--axis", f"0:0.9:{_FLOAT_CELLS + 1}"],
+        "sigma_max-grid": ["grid", "--p", "3", "--r", "1", "--lam", "2.0",
+                           "--quantity", "sigma_max", "--axis", "0:0.9:5"],
+    }
+    seen = _fresh_interpreter(_NUMPY_LOADED, tmp_path, json.dumps(floats))
     assert seen == {
         "import": False,
         "help": [0, False],
         "classify": [0, False],
         "zeros": [0, False],
-        "grid": [0, True],
+        "rate": [0, False],
+        "small-grid": [0, False],
     }
+    for name, argv in arrays.items():
+        seen = _fresh_interpreter(_NUMPY_LOADED, tmp_path, json.dumps({name: argv}))
+        assert seen == {"import": False, "help": [0, False], name: [0, True]}
 
 
 def test_every_exported_name_resolves_on_first_use():
@@ -603,6 +630,10 @@ def test_kacrice_formula_node_cap_exit_code(tmp_path, monkeypatch):
      "--n", "2", "--batches", "0", "--seed", "0"],
     ["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1", "--lam", "1",
      "--n", "1", "--trials", "2", "--seed", "0"],
+    # a table too large to hold is refused before any of it is built
+    ["grid", "--p", "3", "--r", "1", "--lam", "0.5", "--quantity", "sigma_tot",
+     "--axis", "0:1:100000000000"],
+    ["rate", "--gamma", "1.5", "--t-range", "2:3:100000000000"],
 ])
 def test_bad_range_and_value_exit_code(argv, capsys):
     assert run_cli(argv) == 2
@@ -853,3 +884,16 @@ def test_rate_artifact_matches_recorded_digest(tmp_path, name):
     out = tmp_path / "rate.csv"
     assert run_cli(["rate", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
+def test_grid_stack_path_matches_recorded_digest(tmp_path, monkeypatch, name):
+    # the golden grids run cell by cell on floats; no cap sends them to the stack
+    monkeypatch.setattr(cli, "_FLOAT_CELLS", 0)
+    test_grid_artifact_matches_recorded_digest(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", sorted(RATE_GOLDEN))
+def test_rate_stack_path_matches_recorded_digest(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(cli, "_FLOAT_CELLS", 0)
+    test_rate_artifact_matches_recorded_digest(tmp_path, name)

@@ -35,7 +35,7 @@ from pspinlab import (
     y_shift,
     zero_locus_solve,
 )
-from pspinlab import core, rates
+from pspinlab import core, rates, spikes
 from pspinlab.core import _distinct, _libm, _profile_parts, _zero_conditions_hold
 
 P31 = ModelParams(p=3, r=1, k=(3,), lam=(2.0,))
@@ -423,7 +423,7 @@ def test_classify_regime_builds_one_profile(monkeypatch):
 
 def test_sigma_max_projected_builds_one_profile_and_spectrum(monkeypatch):
     calls = {"profile": [], "spectrum": [], "joint": 0}
-    build, solve, joint = rates._profile_parts, rates.spike_eigenvalues, rates.sigma_max_joint
+    build, solve, joint = rates._profile_parts, spikes.spike_eigenvalues, rates.sigma_max_joint
 
     def counting_parts(params, m):
         calls["profile"].append(len(m))
@@ -440,7 +440,8 @@ def test_sigma_max_projected_builds_one_profile_and_spectrum(monkeypatch):
     # core's name too, so that a profile built inside core is counted as well
     monkeypatch.setattr(core, "_profile_parts", counting_parts)
     monkeypatch.setattr(rates, "_profile_parts", counting_parts)
-    monkeypatch.setattr(rates, "spike_eigenvalues", counting_spectrum)
+    # rates imports the spectrum from spikes on each sigma_max call
+    monkeypatch.setattr(spikes, "spike_eigenvalues", counting_spectrum)
     monkeypatch.setattr(rates, "sigma_max_joint", counting_joint)
     # the unit square reaches past the ball, so some rows are off-domain
     pts = _tensor_grid(np.linspace(0.0, 1.0, 30))
