@@ -95,8 +95,8 @@ def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndar
         - 0.5 * gamma * (x - e)
         + 0.125 * (x * x - e * e)
     )
-    # the rate is >= 0; near x = e = 2 the three terms cancel to -1e-16 noise
-    # (clipped as np.maximum(value, 0.0) clips: -0.0 becomes 0.0, NaN stays)
+    # the rate is >= 0; near x = e = 2 the three terms cancel to -1e-16
+    # noise, which becomes 0.0 as -0.0 does, while NaN stays NaN
     value = _select(value <= 0.0, 0.0, value)
     return _scalar(_select(off, INF, value))
 

@@ -450,19 +450,19 @@ def test_one_point_commands_leave_numpy_unloaded(tmp_path):
     # classify, zeros, rate and a core grid of at most _FLOAT_CELLS cells run
     # on Python floats; a grid that builds arrays loads numpy, each in its
     # own interpreter
-    from pspinlab.cli import _FLOAT_CELLS
-
     regime = ["grid", "--p", "3", "--r", "1", "--lam", "2.0", "--quantity", "regime"]
     floats = {
         "classify": ["classify", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--m", "0.5,0.2"],
         "zeros": ["zeros", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--pattern", "0,1"],
         "rate": ["rate", "--gamma", "1.5,0.5", "--t-range", "2:4:81"],
-        "small-grid": [*regime, "--axis", f"0:0.9:{_FLOAT_CELLS}"],
+        "small-grid": [*regime, "--axis", f"0:0.9:{cli._FLOAT_CELLS}"],
     }
     arrays = {
-        "grid": [*regime, "--axis", f"0:0.9:{_FLOAT_CELLS + 1}"],
+        "grid": [*regime, "--axis", f"0:0.9:{cli._FLOAT_CELLS + 1}"],
         "sigma_max-grid": ["grid", "--p", "3", "--r", "1", "--lam", "2.0",
                            "--quantity", "sigma_max", "--axis", "0:0.9:5"],
+        "gamma1-grid": ["grid", "--p", "3", "--r", "1", "--lam", "2.0",
+                        "--quantity", "gamma1", "--axis", "0:0.9:5"],
     }
     seen = _fresh_interpreter(_NUMPY_LOADED, tmp_path, json.dumps(floats))
     assert seen == {
@@ -888,7 +888,8 @@ def test_rate_artifact_matches_recorded_digest(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
 def test_grid_stack_path_matches_recorded_digest(tmp_path, monkeypatch, name):
-    # the golden grids run cell by cell on floats; no cap sends them to the stack
+    # the golden tables run cell by cell on floats by default; a cap of 0
+    # sends them to the numpy stack
     monkeypatch.setattr(cli, "_FLOAT_CELLS", 0)
     test_grid_artifact_matches_recorded_digest(tmp_path, name)
 
