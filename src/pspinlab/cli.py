@@ -42,12 +42,17 @@ _FLOAT_QUANTITIES = ("sigma_tot", "regime", "tau", "eta")
 # over between 2,025 and 3,025 cells: fresh processes pinned to one vCPU
 # (Intel Xeon, Python 3.11, numpy 2.4) took 201 ms on floats against 213 ms
 # on the stack for 2,025 cells at r = 2, and 196 ms against 177 ms for
-# 3,025 (medians of 7).  A rate row costs about what a regime cell does
-# (24-32 us against 27-33 us on floats).
+# 3,025 (medians of 7).  rate crosses over later, near 4,096 rows: on the
+# same setup floats beat the stack by 66 ms (r = 1) and 53 ms (r = 2) at
+# 2,048 rows, and the two paths came within 21 ms of each other at 4,096
+# (medians of 15).
 _FLOAT_CELLS = 2048
-# the most cells a grid, or rows a rate table, may have; checked before
-# anything is built
-_MAX_CELLS = 1_000_000
+# The most cells a grid, or rows a rate table, may have; checked before
+# anything is built.  The heaviest path, a sigma_max grid at r = 2, peaked
+# at 718 MB for 499,849 cells (about 1.4 KB a cell; regime 0.6 KB, rate
+# 0.5 KB a row), so this cap, a 2,048 x 2,048 grid, keeps it near 6 GB.
+# A cell costs more at larger r: 2.5 KB for sigma_max at r = 4.
+_MAX_CELLS = 2048 * 2048
 
 
 def __getattr__(name: str):
