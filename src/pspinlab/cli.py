@@ -19,9 +19,9 @@ from typing import Sequence
 
 # every command imports the modules it runs, so --help loads none of them;
 # classify, zeros, rate tables and grids of core's quantities up to
-# _FLOAT_CELLS cells run the one-point bodies on Python floats and never
-# load numpy; the commands that build arrays import numpy and the array
-# modules themselves
+# _FLOAT_CELLS cells run the one-point bodies on Python floats and load
+# neither numpy nor inspect nor dataclasses; the commands that build arrays
+# import numpy and the array modules themselves
 from . import _LAZY, __version__
 
 GRID_QUANTITIES = ("sigma_tot", "sigma_max", "regime", "gamma1", "tau", "eta")
@@ -49,7 +49,7 @@ _FLOAT_QUANTITIES = ("sigma_tot", "regime", "tau", "eta")
 _FLOAT_CELLS = 2048
 # The most cells a grid, or rows a rate table, may have; checked before
 # anything is built.  The heaviest path, a sigma_max grid at r = 2, peaked
-# at 718 MB for 499,849 cells (about 1.4 KB a cell; regime 0.6 KB, rate
+# at 718 MB for 499,849 cells (about 1.4 KB a cell; regime 0.3 KB, rate
 # 0.5 KB a row), so this cap, a 2,048 x 2,048 grid, keeps it near 6 GB.
 # A cell costs more at larger r: 2.5 KB for sigma_max at r = 4.
 _MAX_CELLS = 2048 * 2048
@@ -121,17 +121,6 @@ def to_json(obj, indent: int = 0) -> str:
         rows = [f"{inner}{to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     return _json_scalar(obj)
-
-
-def _cells(values: list[float], quantity: str) -> list[str]:
-    """fmt_float's rules over a column of floats, at one format call per
-    cell; a NaN anywhere is a usage error."""
-    cells = [format(v, ".17g") for v in values]
-    if "nan" in cells:
-        raise UsageError(f"{quantity} on this grid leaves the float range (NaN)")
-    if "inf" in cells:
-        cells = ["+inf" if c == "inf" else c for c in cells]
-    return cells
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -358,11 +347,14 @@ def cmd_grid(res: Resolver) -> int:
     size = math.prod(steps for _, _, steps in axes)
     _check_size(size, "grid cells")
     out = res.out()
-    from .core import RegimeLabel, aux_statistics, classify_regime, sigma_tot_projected
+    from .core import RegimeLabel, _sigma_tot_and_code, aux_statistics, sigma_tot_projected
 
     def core_value(m):
-        """The quantity at one point or over a stack: core's one body."""
-        if quantity in ("sigma_tot", "regime"):
+        """The quantity at one point or over a stack, core's one body; for
+        regime the value and the code, from one profile."""
+        if quantity == "regime":
+            return _sigma_tot_and_code(params, m)
+        if quantity == "sigma_tot":
             return sigma_tot_projected(params, m)
         return getattr(aux_statistics(params, m), quantity)
 
@@ -370,13 +362,12 @@ def cmd_grid(res: Resolver) -> int:
     codes = None
     if quantity in _FLOAT_QUANTITIES and size <= _FLOAT_CELLS:
         # cell by cell on Python floats, in the order of meshgrid(indexing="ij")
-        points = []
+        values = []
         for combo in itertools.product(*ticks):
             coords = {**fixed, **dict(zip(swept, combo))}
-            points.append([coords[i] for i in range(params.r)])
-        values = [core_value(m) for m in points]
+            values.append(core_value([coords[i] for i in range(params.r)]))
         if quantity == "regime":
-            codes = [int(classify_regime(params, m)) for m in points]
+            values, codes = zip(*values)
     else:
         import numpy as np
 
@@ -385,7 +376,7 @@ def cmd_grid(res: Resolver) -> int:
             pts[:, idx] = val
         for idx, mesh in zip(swept, np.meshgrid(*ticks, indexing="ij")):
             pts[:, idx] = mesh.ravel()
-        # a huge spike overflows the sums to inf and NaN, which _cells reports
+        # a huge spike overflows the sums to inf and NaN, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             if quantity == "sigma_max":
                 from .rates import sigma_max_projected
@@ -401,20 +392,29 @@ def cmd_grid(res: Resolver) -> int:
             else:
                 values = core_value(pts)
                 if quantity == "regime":
-                    codes = classify_regime(params, pts).tolist()
+                    values, codes = values[0], values[1].tolist()
         values = np.asarray(values, dtype=float).tolist()
-    cells = _cells(values, quantity)
 
+    if any(map(math.isnan, values)):
+        raise UsageError(f"{quantity} on this grid leaves the float range (NaN)")
+    # %g writes +inf as "inf", fmt_float as "+inf"
+    signed = math.inf in values
     header = ",".join(f"m{j + 1}" for j in range(len(swept))) + ",value"
-    labels = [[fmt_float(v) for v in t] for t in ticks]
-    prefixes = map(",".join, itertools.product(*labels))
-    if codes is None:
-        rows = [f"{pre},{c}" for pre, c in zip(prefixes, cells)]
-    else:
+    row = ",%.17g\n"
+    if codes is not None:
         header += ",regime"
-        rows = [f"{pre},{c},{code}" for pre, c, code in zip(prefixes, cells, codes)]
-    rows.insert(0, header)
-    _write_text(out, "\n".join(rows) + "\n")
+        row = ",%.17g,%d\n"
+        values = itertools.chain.from_iterable(zip(values, codes))
+    # one template for the table, filled by one format call; on two axes
+    # each tick of the first leads every row of the second
+    labels = [[fmt_float(v) for v in t] for t in ticks]
+    rows = [tick + row for tick in labels[-1]]
+    if len(labels) == 2:
+        rows = [lead + lead.join(rows) for lead in (tick + "," for tick in labels[0])]
+    text = "".join(rows) % tuple(values)
+    if signed:
+        text = text.replace(",inf", ",+inf")
+    _write_text(out, header + "\n" + text)
     if out is not None:
         sidecar = _sidecar(
             params,
@@ -436,8 +436,6 @@ def cmd_classify(res: Resolver) -> int:
     m = res.get("m", _conv_floats, required=True)
     tol = res.get("tol", _float, default=1e-6)
     out = res.out()
-    import dataclasses
-
     from .core import aux_statistics, classify_regime, sigma_tot_projected
 
     label = classify_regime(params, m, tol=tol)
@@ -450,7 +448,7 @@ def cmd_classify(res: Resolver) -> int:
         "label": label.name,
         "code": int(label),
         "sigma_tot": value,
-        "aux": dataclasses.asdict(aux),
+        "aux": aux._asdict(),
     }
     _write_text(out, to_json(doc) + "\n")
     return 0

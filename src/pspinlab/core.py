@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from types import EllipsisType
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -69,35 +68,61 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
 class ModelParams:
     """Landscape parameters: degree p, rank r, spike degrees k, strengths lam.
 
     lam must be finite and sorted in non-increasing order; every k_i >= 3
-    and p >= 3.
+    and p >= 3.  Immutable, with k stored as ints and lam as floats; equal
+    fields give equal, hash-equal parameters.  A plain slotted class rather
+    than a dataclass, so that importing core loads neither dataclasses nor
+    inspect; every way of building one, copies and unpickling included, runs
+    the checks of __init__.
     """
 
-    p: int
-    r: int
-    k: tuple[int, ...]
-    lam: tuple[float, ...]
+    __slots__ = ("p", "r", "k", "lam")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        if self.p < 3:
-            raise ValueError(f"p must be >= 3, got {self.p}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if len(self.k) != self.r or len(self.lam) != self.r:
+    def __init__(self, p: int, r: int, k: Sequence[int], lam: Sequence[float]) -> None:
+        k = tuple(int(v) for v in k)
+        lam = tuple(float(v) for v in lam)
+        if p < 3:
+            raise ValueError(f"p must be >= 3, got {p}")
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        if len(k) != r or len(lam) != r:
             raise ValueError("k and lam must each have length r")
-        if any(ki < 3 for ki in self.k):
-            raise ValueError(f"every spike degree must be >= 3, got {self.k}")
+        if any(ki < 3 for ki in k):
+            raise ValueError(f"every spike degree must be >= 3, got {k}")
         # the negated test also rejects NaN, for which every comparison is false
-        if any(not 0 <= li < math.inf for li in self.lam):
-            raise ValueError(f"spike strengths must be finite and >= 0, got {self.lam}")
-        if any(self.lam[i] < self.lam[i + 1] for i in range(self.r - 1)):
-            raise ValueError(f"lam must be non-increasing, got {self.lam}")
+        if any(not 0 <= li < math.inf for li in lam):
+            raise ValueError(f"spike strengths must be finite and >= 0, got {lam}")
+        if any(lam[i] < lam[i + 1] for i in range(r - 1)):
+            raise ValueError(f"lam must be non-increasing, got {lam}")
+        for name, value in zip(self.__slots__, (p, r, k, lam)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: ModelParams is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: ModelParams is immutable")
+
+    def _astuple(self) -> tuple:
+        return (self.p, self.r, self.k, self.lam)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return f"ModelParams(p={self.p!r}, r={self.r!r}, k={self.k!r}, lam={self.lam!r})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__ and its checks
+        return ModelParams, self._astuple()
 
 
 class RegimeLabel(IntEnum):
@@ -116,14 +141,14 @@ class RegimeLabel(IntEnum):
     SUBEXPONENTIAL_ZERO_LOCUS = 4
 
 
-@dataclass(frozen=True)
-class AuxStatistics:
+class AuxStatistics(NamedTuple):
     """Summaries of an overlap point that drive every phase boundary.
 
     tau_star is NaN when its defining ratio is negative or degenerate; beta is
     NaN when tau vanishes; eta is +inf when some active strength is zero and
     eta_c is NaN for mixed spike degrees.  For a stack of points the first
-    five fields are arrays; the thresholds tau_c and eta_c stay floats.
+    five fields are arrays; the thresholds tau_c and eta_c stay floats.  A
+    NamedTuple, like _Profile: _asdict() gives its fields by name.
     """
 
     tau: float | np.ndarray
@@ -526,6 +551,14 @@ def classify_regime(
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    code = _sigma_tot_and_code(params, m, tol)[1]
+    return code if getattr(code, "ndim", 0) else RegimeLabel(code)
+
+
+def _sigma_tot_and_code(params: ModelParams, m: Sequence[float] | np.ndarray, tol: float = 1e-6):
+    """sigma_tot_projected of m and its regime code, from one _Profile: a
+    float and an int for one point, arrays over the points of a stack.
+    classify_regime labels the code; tol as there, unchecked."""
     prof = _profile_parts(params, m)
     value = _sigma_tot(params, prof)
     code = _select(value > 0, int(RegimeLabel.POSITIVE), int(RegimeLabel.NEGATIVE))
@@ -534,8 +567,7 @@ def classify_regime(
     if _any(wide):
         held = wide & _zero_conditions_hold(params, m, tol, prof)
         code = _select(held, int(RegimeLabel.SUBEXPONENTIAL_ZERO_LOCUS), code)
-    code = _select(prof.inside, code, int(RegimeLabel.OUT_OF_DOMAIN))
-    return code if getattr(code, "ndim", 0) else RegimeLabel(code)
+    return value, _select(prof.inside, code, int(RegimeLabel.OUT_OF_DOMAIN))
 
 
 def _first_failing(holds, lo: float, hi: float) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pspinlab import ModelParams, RegimeLabel, sigma_tot_projected
-from pspinlab import cli
+from pspinlab import cli, core
 from pspinlab.cli import fmt_float, main, to_json
 
 
@@ -433,23 +433,23 @@ _NUMPY_LOADED = """
     import contextlib, io
     import pspinlab.cli
 
-    def numpy_loaded():
-        return "numpy" in sys.modules
+    def loaded():
+        # numpy imports inspect itself; core imports neither, nor dataclasses
+        return [name for name in ("numpy", "inspect", "dataclasses") if name in sys.modules]
 
-    seen = {"import": numpy_loaded()}
+    seen = {"import": loaded()}
     with contextlib.redirect_stdout(io.StringIO()):
-        seen["help"] = [pspinlab.cli.main(["--help"]), numpy_loaded()]
+        seen["help"] = [pspinlab.cli.main(["--help"]), loaded()]
     for name, argv in json.loads(sys.argv[2]).items():
-        seen[name] = [pspinlab.cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]),
-                      numpy_loaded()]
+        seen[name] = [pspinlab.cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]), loaded()]
     print(json.dumps(seen))
 """
 
 
 def test_one_point_commands_leave_numpy_unloaded(tmp_path):
     # classify, zeros, rate and a core grid of at most _FLOAT_CELLS cells run
-    # on Python floats; a grid that builds arrays loads numpy, each in its
-    # own interpreter
+    # on Python floats and load neither numpy nor inspect nor dataclasses; a
+    # grid that builds arrays loads numpy, each in its own interpreter
     regime = ["grid", "--p", "3", "--r", "1", "--lam", "2.0", "--quantity", "regime"]
     floats = {
         "classify": ["classify", "--p", "3", "--r", "2", "--lam", "2.0,1.5", "--m", "0.5,0.2"],
@@ -466,16 +466,18 @@ def test_one_point_commands_leave_numpy_unloaded(tmp_path):
     }
     seen = _fresh_interpreter(_NUMPY_LOADED, tmp_path, json.dumps(floats))
     assert seen == {
-        "import": False,
-        "help": [0, False],
-        "classify": [0, False],
-        "zeros": [0, False],
-        "rate": [0, False],
-        "small-grid": [0, False],
+        "import": [],
+        "help": [0, []],
+        "classify": [0, []],
+        "zeros": [0, []],
+        "rate": [0, []],
+        "small-grid": [0, []],
     }
     for name, argv in arrays.items():
         seen = _fresh_interpreter(_NUMPY_LOADED, tmp_path, json.dumps({name: argv}))
-        assert seen == {"import": False, "help": [0, False], name: [0, True]}
+        code, modules = seen.pop(name)
+        assert seen == {"import": [], "help": [0, []]}
+        assert code == 0 and "numpy" in modules, name
 
 
 def test_every_exported_name_resolves_on_first_use():
@@ -898,3 +900,23 @@ def test_grid_stack_path_matches_recorded_digest(tmp_path, monkeypatch, name):
 def test_rate_stack_path_matches_recorded_digest(tmp_path, monkeypatch, name):
     monkeypatch.setattr(cli, "_FLOAT_CELLS", 0)
     test_rate_artifact_matches_recorded_digest(tmp_path, name)
+
+
+@pytest.mark.parametrize("float_cells", [cli._FLOAT_CELLS, 0])
+def test_regime_grid_builds_one_profile_per_cell_or_stack(tmp_path, monkeypatch, float_cells):
+    # the value and the code of a regime cell come from one profile: one per
+    # cell on floats, one for the whole stack
+    calls = []
+    build = core._profile_parts
+
+    def counting_parts(params, m):
+        calls.append(len(np.atleast_2d(m)))
+        return build(params, m)
+
+    monkeypatch.setattr(core, "_profile_parts", counting_parts)
+    monkeypatch.setattr(cli, "_FLOAT_CELLS", float_cells)
+    argv, digest = GRID_GOLDEN["regime"]
+    out = tmp_path / "g.csv"
+    assert run_cli(["grid", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert calls == ([1] * 15 * 15 if float_cells else [15 * 15])

@@ -59,6 +59,34 @@ def test_params_validation():
             ModelParams(p=3, r=len(lam), k=(3,) * len(lam), lam=lam)
 
 
+def test_params_immutable_equal_hashable_and_always_checked():
+    import copy
+    import pickle
+
+    params = ModelParams(p=3, r=2, k=(3.0, np.int64(4)), lam=(2, np.float64(1.5)))
+    assert params.k == (3, 4) and all(type(v) is int for v in params.k)
+    assert params.lam == (2.0, 1.5) and all(type(v) is float for v in params.lam)
+    for name in ("p", "r", "k", "lam", "other"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(params, name)
+    twin = ModelParams(p=3, r=2, k=[3, 4], lam=[2.0, 1.5])
+    assert twin == params and hash(twin) == hash(params)
+    assert twin != ModelParams(p=3, r=2, k=(3, 4), lam=(2.0, 1.0))
+    assert params != (3, 2, (3, 4), (2.0, 1.5))
+    assert repr(params) == "ModelParams(p=3, r=2, k=(3, 4), lam=(2.0, 1.5))"
+    for clone in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert clone == params and clone is not params
+    # copies and unpickling rebuild through the constructor, so the checks
+    # of test_params_validation hold on every public way of building one
+    build, fields = params.__reduce__()
+    assert build(*fields) == params
+    for i, bad in ((0, 2), (2, (2, 4)), (3, (1.0, 2.0)), (3, (math.nan, 1.0))):
+        with pytest.raises(ValueError):
+            build(*fields[:i], bad, *fields[i + 1:])
+
+
 def test_phi_star_values():
     assert phi_star(0.0) == pytest.approx(-0.5, abs=1e-15)
     assert phi_star(2.0) == pytest.approx(0.5, abs=1e-15)
