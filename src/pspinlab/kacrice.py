@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ModelParams, _libm, s_func, t_func
-from .rmt import MCEstimate, _goe
+from .rmt import GOESpec, MCEstimate, _draws
 from .spikes import perturbation_factors
 
 __all__ = [
@@ -620,7 +620,9 @@ def kac_rice_eval(
     root = math.sqrt(n / (n - 1))
     # one GOE(n-1) draw per inner trial, shared across all quadrature nodes
     per_batch = inner_trials // batches
-    ws = np.stack([_goe(m_dim, seed, t) for t in range(per_batch * batches)])
+    ws = np.empty((per_batch * batches, m_dim, m_dim))
+    for t, w in enumerate(_draws(GOESpec(n=m_dim, seed=seed), range(len(ws)))):
+        ws[t] = w
 
     def value_integrals(spike, a, b, s0, s1, s2, xi: np.ndarray, wi: np.ndarray) -> np.ndarray:
         """Per draw, the value-axis integral of exp(n s) |det H| at one node."""

@@ -6,13 +6,15 @@ on [-2, 2] and a spike gamma > 1 detaches an eigenvalue near gamma + 1/gamma.
 
 Determinism contract: every trial draws from its own RNG stream keyed by
 (seed, trial index) and reductions run in trial order, so results are bitwise
-identical across runs.
+identical across runs.  The estimators draw every trial into one buffer,
+allocated once per call and overwritten by the next draw (see _draws); the
+streams and the bits of each matrix are those of a fresh array per trial.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,29 +71,43 @@ class SpectralSample:
     spec: GOESpec
 
 
+def _draws(spec: GOESpec, trials: Iterable[int]) -> Iterator[np.ndarray]:
+    """W + diag(gamma) - shift * I for each trial index, from the stream
+    (seed, trial), drawn into one buffer allocated per call.
+
+    Every draw yields the same array, overwritten by the next one: a caller
+    uses each matrix before it asks for the next, or copies it.  Each entry
+    is (a_ij + a_ji) / sqrt(2n), then the spikes are added to the diagonal
+    and the shift subtracted: the operations and the order of fresh arrays,
+    so the bits are theirs, and only the pages are reused.
+    """
+    n = spec.n
+    a = np.empty((n, n))
+    w = np.empty((n, n))
+    diag = w.reshape(-1)[:: n + 1]  # a view of w's diagonal
+    gamma = np.asarray(spec.gamma)
+    r = len(gamma)
+    scale = math.sqrt(2.0 * n)
+    for trial in trials:
+        np.random.default_rng((spec.seed, trial)).standard_normal(out=a)
+        np.add(a, a.T, out=w)
+        w /= scale
+        if r:
+            diag[:r] += gamma
+        if spec.shift != 0.0:
+            diag -= spec.shift
+        yield w
+
+
 def _goe(n: int, seed: int, trial: int) -> np.ndarray:
-    """One bulk-normalized GOE(n) matrix from the stream (seed, trial)."""
-    a = np.random.default_rng((seed, trial)).standard_normal(size=(n, n))
-    return (a + a.T) / math.sqrt(2.0 * n)
-
-
-def _sample_matrix(spec: GOESpec, trial: int) -> np.ndarray:
-    """One draw W + diag(gamma) - shift * I from the stream (seed, trial)."""
-    w = _goe(spec.n, spec.seed, trial)
-    idx = np.arange(len(spec.gamma))
-    w[idx, idx] += np.asarray(spec.gamma)
-    if spec.shift != 0.0:
-        w[np.diag_indices(spec.n)] -= spec.shift
-    return w
-
-
-def _sample_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
-    return np.linalg.eigvalsh(_sample_matrix(spec, trial))
+    """One bulk-normalized GOE(n) matrix from the stream (seed, trial), as
+    an array of its own."""
+    return next(_draws(GOESpec(n=n, seed=seed), (trial,))).copy()
 
 
 def sample_spectrum(spec: GOESpec) -> SpectralSample:
     """Draw one matrix from the plan and return its ordered spectrum."""
-    return SpectralSample(eigenvalues=_sample_eigenvalues(spec, 0), spec=spec)
+    return SpectralSample(eigenvalues=np.linalg.eigvalsh(next(_draws(spec, (0,)))), spec=spec)
 
 
 def _log_mean_exp(logs: np.ndarray) -> tuple[float, float, dict]:
@@ -135,7 +151,7 @@ def mc_log_abs_det(spec: GOESpec, trials: int) -> MCEstimate:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    logs = np.array([np.linalg.slogdet(_sample_matrix(spec, t))[1] for t in range(trials)])
+    logs = np.array([np.linalg.slogdet(w)[1] for w in _draws(spec, range(trials))])
     underflow = int(np.sum(np.isneginf(logs)))
     log_mean, se_log, weights = _log_mean_exp(logs)
     extras = {"underflow_trials": underflow, "all_underflow": underflow == trials, **weights}
@@ -169,9 +185,7 @@ def mc_restricted_det(spec: GOESpec, trials: int) -> MCEstimate:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    logs = np.array(
-        [_log_abs_det_negative_definite(_sample_matrix(spec, t)) for t in range(trials)]
-    )
+    logs = np.array([_log_abs_det_negative_definite(w) for w in _draws(spec, range(trials))])
     accepted = int(np.sum(np.isfinite(logs)))
     log_mean, se_log, weights = _log_mean_exp(logs)
     extras = {
@@ -192,7 +206,7 @@ def mc_lambda_max_tail(spec: GOESpec, trials: int, t: float) -> MCEstimate:
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    tops = np.array([_sample_eigenvalues(spec, tr)[-1] for tr in range(trials)])
+    tops = np.array([np.linalg.eigvalsh(w)[-1] for w in _draws(spec, range(trials))])
     hits = int(np.sum(tops <= t))
     prob = hits / trials
     extras = {

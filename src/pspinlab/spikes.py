@@ -58,18 +58,26 @@ def spike_eigenvalues(params: ModelParams, m: Sequence[float] | np.ndarray) -> n
     (the case m in [0,1]^r, where the result is also >= 0 entrywise); a
     general eigensolver handles mixed signs.  Shape (r,) for one point,
     (N, r) for a stack, whose matrices are solved in one batched call.
+    At r = 1 the eigenvalue is theta itself, +inf where a huge spike
+    overflows it; at r > 1 a perturbation that overflows (an infinite or
+    NaN entry) has no spectrum to report and raises ValueError.
     """
     theta, gram = perturbation_factors(params, m)
     vals = theta
     if params.r > 1:
-        # eigvalsh sorts ascending; sqrt(|theta|) is sqrt(theta) on the rows it keeps
+        # sqrt(|theta|) is sqrt(theta) on the rows that keep the symmetric form
         root = np.sqrt(np.abs(theta))
-        vals = np.linalg.eigvalsh(gram * (root[..., :, None] * root[..., None, :]))
+        sym = gram * (root[..., :, None] * root[..., None, :])
         mixed = ~np.all(theta >= 0.0, axis=-1)
+        # a boolean mask picks rows of a stack, and one point as a row
+        general = theta[mixed][..., :, None] * gram[mixed]
+        # the diagonal of sym is |theta|, so this also checks theta
+        if not (np.isfinite(sym).all() and np.isfinite(general).all()):
+            raise ValueError(f"the spike perturbation overflows the float range at lam = {params.lam}")
+        # eigvalsh sorts ascending
+        vals = np.linalg.eigvalsh(sym)
         if mixed.any():
-            # a boolean mask picks rows of a stack, and one point as a row
-            general = np.linalg.eigvals(theta[mixed][..., :, None] * gram[mixed]).real
-            vals[mixed] = np.sort(general, axis=-1)
+            vals[mixed] = np.sort(np.linalg.eigvals(general).real, axis=-1)
         vals = vals[..., ::-1]
     return vals
 

@@ -658,6 +658,23 @@ def test_grid_overflow_exit_code():
     ]
 
 
+@pytest.mark.parametrize("quantity, axis", [
+    ("gamma1", "--axis=-0.5:1.0:6"), ("sigma_max", "--axis=0:1.0:6"),
+])
+def test_grid_overflowing_perturbation_exit_code(quantity, axis):
+    # at r = 2 a spike of 1.7e308 overflows the perturbation matrix, which
+    # is a usage error, not a LinAlgError traceback from its eigensolve
+    argv = ["grid", "--p", "3", "--r", "2", "--lam", "1.7e308,1.2", "--quantity", quantity,
+            axis, "--axis=0.1:0.5:4"]
+    proc = subprocess.run([sys.executable, "-m", "pspinlab.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "usage error: the spike perturbation overflows the float range at lam = (1.7e+308, 1.2)"
+    ]
+
+
 def test_signed_axis_regime_mirrors(tmp_path):
     # at odd k the signed half flips tau, which enters only through |tau|
     out = tmp_path / "regime.csv"

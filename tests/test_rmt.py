@@ -223,12 +223,22 @@ def test_underflow_flag_exposed():
 # ---------------------------------------------------------------------------
 # the factorized estimators against an eigenvalue oracle
 
-def _oracle_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
-    """The draw of (seed, trial), built here from the RNG stream, diagonalized."""
+def _oracle_matrix(spec: GOESpec, trial: int) -> np.ndarray:
+    """The draw of (seed, trial), built here from the RNG stream in fresh
+    arrays: the spikes are added, then the shift subtracted, in the order the
+    recorded artifacts were drawn in, so the bits are theirs."""
     a = np.random.default_rng((spec.seed, trial)).normal(size=(spec.n, spec.n))
     w = (a + a.T) / math.sqrt(2.0 * spec.n)
-    w[np.diag_indices(spec.n)] += np.pad(spec.gamma, (0, spec.n - len(spec.gamma))) - spec.shift
-    return np.linalg.eigvalsh(w)
+    r = len(spec.gamma)
+    w[range(r), range(r)] += spec.gamma
+    if spec.shift != 0.0:
+        w[np.diag_indices(spec.n)] -= spec.shift
+    return w
+
+
+def _oracle_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
+    """The draw of (seed, trial), built here from the RNG stream, diagonalized."""
+    return np.linalg.eigvalsh(_oracle_matrix(spec, trial))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 30, 400])
@@ -241,6 +251,20 @@ def test_goe_draw_matches_normal_stream(n, seed):
     for trial in range(3):
         a = np.random.default_rng((seed, trial)).normal(size=(n, n))
         assert np.array_equal(_goe(n, seed, trial), (a + a.T) / math.sqrt(2.0 * n))
+
+
+def test_draws_reuse_one_buffer():
+    # every trial is drawn into the same array, which holds that trial's
+    # matrix until the next draw; sample_spectrum keeps the bits of a fresh draw
+    from pspinlab.rmt import _draws
+
+    spec = GOESpec(n=30, gamma=(1.5, 0.5), shift=0.3, seed=9)
+    seen = []
+    for t, w in zip(range(4), _draws(spec, range(4))):
+        assert np.array_equal(w, _oracle_matrix(spec, t))
+        seen.append(w)
+    assert all(w is seen[0] for w in seen)
+    assert np.array_equal(sample_spectrum(spec).eigenvalues, _oracle_eigenvalues(spec, 0))
 
 
 def _per_trial_logs(monkeypatch, estimator, spec, trials):
@@ -278,6 +302,36 @@ def test_factorized_log_abs_det_matches_eigenvalues(monkeypatch, n, shift, spike
             assert gated[t] == pytest.approx(want, abs=1e-9)
         else:
             assert gated[t] == float("-inf")
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 200, 400])
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+@pytest.mark.parametrize("spiked", [False, True])
+def test_estimators_match_fresh_draws_bitwise(monkeypatch, n, shift, spiked):
+    # the reused buffer must give each estimator's per-trial value the bits
+    # of the same routine on a freshly built matrix
+    from pspinlab.rmt import _log_abs_det_negative_definite
+
+    spec = GOESpec(n=n, gamma=(1.5, 0.5)[:n] if spiked else (), shift=shift, seed=13)
+    trials = 4
+    fresh = [_oracle_matrix(spec, t) for t in range(trials)]
+    plain, _ = _per_trial_logs(monkeypatch, mc_log_abs_det, spec, trials)
+    gated, _ = _per_trial_logs(monkeypatch, mc_restricted_det, spec, trials)
+    assert plain.tolist() == [np.linalg.slogdet(m)[1] for m in fresh]
+    assert gated.tolist() == [_log_abs_det_negative_definite(m) for m in fresh]
+
+    tops = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(m):
+        ev = eigvalsh(m)
+        tops.append(ev[-1])
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    mc_lambda_max_tail(spec, trials, 2.0)
+    monkeypatch.undo()
+    assert tops == [eigvalsh(m)[-1] for m in fresh]
 
 
 @pytest.mark.parametrize("shift", [2.0, 2.4])

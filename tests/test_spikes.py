@@ -120,3 +120,19 @@ def test_stack_matches_single_points_bitwise(params):
         assert theta[i].tobytes() == one_theta.tobytes()
         assert gram[i].tobytes() == one_gram.tobytes()
         assert vals[i].tobytes() == spike_eigenvalues(params, row).tobytes()
+
+
+def test_overflowing_perturbation_raises_at_rank_two_only():
+    # at r = 1 the eigenvalue is theta itself and overflows to +inf; at r > 1
+    # an infinite or NaN entry leaves no spectrum, on one point and on a stack
+    big = ModelParams(p=3, r=1, k=(3,), lam=(1.7e308,))
+    with np.errstate(over="ignore"):
+        assert spike_eigenvalues(big, [0.5]).tolist() == [math.inf]
+    big2 = ModelParams(p=3, r=2, k=(3, 3), lam=(1.7e308, 1.2))
+    for m in ([0.5, 0.3], [-0.5, 0.3], [[0.5, 0.3], [0.2, 0.1]]):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            spike_eigenvalues(big2, m)
+    # finite theta, but theta_1 * gram_12 overflows on a mixed-sign row
+    near = ModelParams(p=3, r=2, k=(3, 3), lam=(1e307, 1.2))
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        spike_eigenvalues(near, [-0.5, 1.0 - 2.0**-52])
