@@ -17,9 +17,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# name -> submodule, imported by the first lookup.  The resolved objects are
-# not stored in the package namespace, so every lookup reads the submodule's
-# current global.
+# name -> submodule, imported by the first lookup: the one list of public
+# names, from which each submodule reads its __all__.  The resolved objects
+# are not stored in the package namespace, so every lookup reads the
+# submodule's current global.
 _LAZY = {
     **dict.fromkeys(
         (

@@ -48,10 +48,13 @@ _FLOAT_QUANTITIES = ("sigma_tot", "regime", "tau", "eta")
 # (medians of 15).
 _FLOAT_CELLS = 2048
 # The most cells a grid, or rows a rate table, may have; checked before
-# anything is built.  The heaviest path, a sigma_max grid at r = 2, peaked
-# at 718 MB for 499,849 cells (about 1.4 KB a cell; regime 0.3 KB, rate
-# 0.5 KB a row), so this cap, a 2,048 x 2,048 grid, keeps it near 6 GB.
-# A cell costs more at larger r: 2.5 KB for sigma_max at r = 4.
+# anything is built.  It bounds the table that a command holds whole: its
+# points, values and text, about 0.3 KB a cell, since sigma_max_projected
+# takes a stack in slices.  A 2,048 x 2,048 sigma_max grid peaked at
+# 1,212 MB in 21.6 s at r = 2, and at 1,278 MB in 36.4 s at r = 4 with two
+# coordinates fixed (child max-RSS; Intel Xeon, one BLAS thread, Python
+# 3.11, numpy 2.4).  gamma1 at r = 4 costs the most, about 0.46 KB a cell
+# at 600 x 600, so about 2 GB at this cap (extrapolated, not run).
 _MAX_CELLS = 2048 * 2048
 
 

@@ -40,30 +40,12 @@ from enum import IntEnum
 from types import EllipsisType
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import _LAZY
+
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "ModelParams",
-    "AuxStatistics",
-    "RegimeLabel",
-    "tau_critical",
-    "eta_critical",
-    "lambda_critical",
-    "edge_area",
-    "phi_star",
-    "s_func",
-    "y_shift",
-    "t_func",
-    "sigma_tot_joint",
-    "sigma_tot_projected",
-    "aux_statistics",
-    "classify_regime",
-    "zero_locus_solve",
-    "g_ab",
-    "f_ab",
-    "appendix_diagnostics",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "core"]
 
 NEG_INF = float("-inf")
 
@@ -316,17 +298,25 @@ def _points(params: ModelParams, m: Sequence[float] | np.ndarray) -> np.ndarray:
     return pts
 
 
+def _row(values) -> list[float] | None:
+    """The entries of one row, a sequence of numbers or a 1-D array, as
+    Python floats, read without numpy; None for anything else, such as a
+    stack."""
+    if getattr(values, "ndim", 1) != 1:
+        return None
+    try:
+        return [float(v) for v in values]
+    except TypeError:  # a stack given as nested sequences
+        return None
+
+
 def _coords(params: ModelParams, m: Sequence[float] | np.ndarray) -> list[float] | np.ndarray:
     """The r coordinates of m, each a Python float for one point of shape
     (r,), or a column of an (N, r) float array for a stack.  One point is
     read without numpy."""
-    if getattr(m, "ndim", 1) == 1:
-        try:
-            point = [float(v) for v in m]
-        except TypeError:  # a stack given as nested sequences
-            point = None
-        if point is not None and len(point) == params.r:
-            return point
+    point = _row(m)
+    if point is not None and len(point) == params.r:
+        return point
     return _points(params, m).T
 
 

@@ -22,21 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _LAZY
 from .core import ModelParams, _libm, s_func, t_func
 from .rmt import GOESpec, MCEstimate, _draws
 from .spikes import perturbation_factors
 
-__all__ = [
-    "SpikedPolynomial",
-    "CriticalPoint",
-    "build_polynomial",
-    "find_critical_points",
-    "count_expected",
-    "kac_rice_eval",
-    "QuadratureError",
-    "c_constant",
-    "sphere_surface",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "kacrice"]
 
 _LETTERS = "abcdefgh"
 # Doubles in the largest array of one pass (of the Gauss rule over draws,

@@ -5,13 +5,13 @@ All rates are at speed N with the bulk spectrum normalized to [-2, 2].  A
 spike of size gamma detaches an eigenvalue at gamma + 1/gamma once gamma > 1;
 below that it is invisible at this scale.  Every function here is closed form:
 sigma_max_projected maximizes piece by piece through the roots of a
-quadratic, with no numerical search, over a whole stack of overlap points in
-one pass.  i_gamma, i_max, big_l, big_l_left and sigma_max_joint broadcast
-as in core, through one body each: for one spectrum (a sequence) and a
-float t or x, i_gamma, i_max, big_l and big_l_left run on Python floats
-and never import numpy.  numpy loads with an array argument, and numpy and
-spikes in the sigma_max functions, which diagonalize the spike
-perturbation.  Quadrature and scalar searches appear only in the test
+quadratic, with no numerical search, over a stack of overlap points in
+slices of at most 4,096 rows.  i_gamma, i_max, big_l, big_l_left and
+sigma_max_joint broadcast as in core, through one body each: for one
+spectrum (a sequence) and a float t or x, i_gamma, i_max, big_l and
+big_l_left run on Python floats and never import numpy.  numpy loads with
+an array argument, and numpy and spikes in the sigma_max functions, which
+diagonalize the spike perturbation.  Quadrature and scalar searches appear only in the test
 oracles.
 """
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
+from . import _LAZY
 from .core import (
     ModelParams,
     _along,
@@ -27,6 +28,7 @@ from .core import (
     _joint,
     _points,
     _profile_parts,
+    _row,
     _scalar,
     _select,
     edge_area,
@@ -36,18 +38,14 @@ from .core import (
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "i_goe",
-    "j_coupling",
-    "i_gamma",
-    "i_max",
-    "big_l",
-    "big_l_left",
-    "sigma_max_joint",
-    "sigma_max_projected",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "rates"]
 
 INF = float("inf")
+# Rows of a stack that sigma_max_projected takes in one slice.  Its
+# candidate arrays, (rows, r + 1) and wider, cost about 1.3 KB a row at
+# r = 2 and 2.2 KB at r = 4 (peak RSS of a 300 x 300 grid in one pass), so
+# a slice holds them to about 10 MB.
+_SLICE = 4096
 
 
 def i_goe(x: float | np.ndarray) -> float | np.ndarray:
@@ -106,21 +104,14 @@ def _descending(gamma) -> tuple:
     shape (r,), read without numpy, or the r columns of a stack (N, r).
     Checked free of NaN, which passes every ordering test, and
     non-increasing along each spectrum."""
-    if getattr(gamma, "ndim", 1) == 1:
-        try:
-            spikes = tuple(float(g) for g in gamma)
-        except TypeError:  # a stack given as nested sequences
-            spikes = None
-        if spikes is not None:
-            if any(g != g for g in spikes) or any(a < b for a, b in zip(spikes, spikes[1:])):
-                raise ValueError(f"gamma must be free of NaN and non-increasing, got {spikes}")
-            return spikes
-    import numpy as np
+    spikes = _row(gamma)
+    if spikes is None:
+        import numpy as np
 
-    gamma = np.asarray(gamma, dtype=float)
-    if np.isnan(gamma).any() or (gamma[..., :-1] < gamma[..., 1:]).any():
+        spikes = np.asarray(gamma, dtype=float).T
+    if any(_any(g != g) for g in spikes) or any(_any(a < b) for a, b in zip(spikes, spikes[1:])):
         raise ValueError(f"gamma must be free of NaN and non-increasing, got {gamma}")
-    return tuple(gamma.T)
+    return tuple(spikes)
 
 
 def i_max(gamma: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
@@ -226,16 +217,32 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) ->
     point is the positive root of (b^2 - a^2) t^2 - 2 a d t - (4b^2 + d^2),
     provided a t + d >= 0.  The supremum is therefore sigma_max_joint at a
     breakpoint or at a stationary point inside its piece.  A float for one
-    point of shape (r,), an array of length N for a stack (N, r).  The
-    points inside the domain are profiled and diagonalized once, as rows
-    (a boolean mask makes one point a row), pad their breakpoints to r + 1,
-    and all take one pass of the sigma_max_joint body.
+    point of shape (r,), an array of length N for a stack (N, r).  A stack
+    is taken in slices of at most _SLICE rows, which bounds the memory of
+    the candidate arrays whatever N is; each point's value depends on that
+    point alone, so slicing keeps its bits.
     """
+    import numpy as np
+
+    pts = _points(params, m)
+    if pts.ndim == 1:
+        return _scalar(_sigma_max_sup(params, pts))
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), _SLICE):
+        out[lo : lo + _SLICE] = _sigma_max_sup(params, pts[lo : lo + _SLICE])
+    return out
+
+
+def _sigma_max_sup(params: ModelParams, pts: np.ndarray) -> np.ndarray:
+    """sigma_max_projected of one point (r,) as a 0-d array, or of a stack
+    (N, r) as an array of length N.  The points inside the domain are
+    profiled and diagonalized once, as rows (a boolean mask makes one point
+    a row), pad their breakpoints to r + 1, and all take one pass of the
+    sigma_max_joint body."""
     import numpy as np
 
     from .spikes import spike_eigenvalues
 
-    pts = _points(params, m)
     prof = _profile_parts(params, pts)
     inside = prof.inside
     prof = _Profile(*(np.asarray(v)[inside] for v in prof))
@@ -269,4 +276,4 @@ def sigma_max_projected(params: ModelParams, m: Sequence[float] | np.ndarray) ->
     out = np.full(np.shape(inside), -INF)
     # fmax skips the NaN of unused candidates
     out[inside] = np.fmax.reduce(_sigma_max(params, prof, gam, x), axis=1, initial=-INF)
-    return _scalar(out)
+    return out

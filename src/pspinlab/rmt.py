@@ -18,19 +18,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _LAZY
 from .core import _libm
 
-__all__ = [
-    "GOESpec",
-    "MCEstimate",
-    "SpectralSample",
-    "sample_spectrum",
-    "mc_log_abs_det",
-    "mc_restricted_det",
-    "mc_lambda_max_tail",
-    "esd_distance",
-    "spherical_integral_mc",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "rmt"]
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _LAZY
 from .core import ModelParams, _points
 
-__all__ = ["perturbation_factors", "spike_eigenvalues", "spike_eigenvalues_r2"]
+__all__ = [name for name, home in _LAZY.items() if home == "spikes"]
 
 
 def perturbation_factors(

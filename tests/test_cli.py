@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -752,8 +753,8 @@ def test_unread_config_key_exit_code(tmp_path, capsys):
 
 
 def test_export_lists_agree():
-    # _LAZY names the modules that load on first use without importing them,
-    # so only this test keeps it in step with their __all__
+    # _LAZY is the one list of public names; each module reads its __all__
+    # from it, so this checks that reading and the package's __all__
     import pspinlab
     from pspinlab import core, kacrice, rates, rmt, spikes
 
@@ -767,6 +768,43 @@ def test_export_lists_agree():
     modules = (core, rates, spikes, rmt, kacrice)
     assert set(pspinlab.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
     assert len(pspinlab.__all__) == len(set(pspinlab.__all__))
+
+
+def test_lazy_table_names_every_public_definition():
+    # every public function or class a module defines is in _LAZY under that
+    # module, and every _LAZY name is defined there
+    import pspinlab
+    from pspinlab import core, kacrice, rates, rmt, spikes
+
+    for module in (core, rates, spikes, rmt, kacrice):
+        home = module.__name__.rpartition(".")[2]
+        defined = {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and isinstance(obj, (type, types.FunctionType))
+            and obj.__module__ == module.__name__
+        }
+        assert defined == {name for name, m in pspinlab._LAZY.items() if m == home}, home
+
+
+def test_sigma_max_grid_memory_is_bounded(tmp_path):
+    # taken in one pass, this 90,000-row stack at r = 4 peaked at 232 MB; in
+    # slices of 4,096 rows the child peaks near 60 MB.  The child starts from
+    # a fresh interpreter, since its max-RSS counts the memory of the process
+    # that started it
+    status, peak_kb = _fresh_interpreter("""
+    import os, subprocess
+    argv = [sys.executable, "-m", "pspinlab.cli", "grid", "--p", "3", "--r", "4",
+            "--lam", "2.0,1.5,1.2,1.0", "--quantity", "sigma_max",
+            "--axis", "0:0.5:300", "--axis", "0:0.5:300", "--fix", "2:0.1", "--fix", "3:0.1",
+            "--out", sys.argv[1] + "/g.csv"]
+    child = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=sys.path[0]))
+    _, status, usage = os.wait4(child.pid, 0)
+    print(json.dumps([status, usage.ru_maxrss]))
+    """, tmp_path)
+    assert status == 0
+    assert peak_kb < 120 * 1024
 
 
 # sha256 of grid CSVs written by the point-by-point evaluator that the array

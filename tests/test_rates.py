@@ -41,7 +41,17 @@ def test_i_goe_takes_arrays():
     assert i_goe(x).tolist() == i_max((), x).tolist()
 
 
-@pytest.mark.parametrize("gamma", [(math.nan,), (2.0, math.nan), (math.nan, 0.5)])
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        (math.nan,),
+        (2.0, math.nan),
+        (math.nan, 0.5),
+        np.array([[2.0, 1.0], [math.nan, 0.5]]),
+        np.array([[2.0, math.nan], [1.5, 0.5]]),
+        [[2.0, 1.0], [1.5, math.nan]],
+    ],
+)
 def test_rates_reject_nan_spike(gamma):
     # NaN passes the ordering test, and i_max would return the unspiked rate
     for rate in (i_max, big_l, big_l_left):
@@ -215,6 +225,27 @@ def _sigma_max_brent(params, m):
         )
         best = max(best, -res.fun, sigma_max_joint(params, m, hi_x))
     return best
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(p=3, r=2, k=(3, 3), lam=(2.0, 1.5)),
+        ModelParams(p=4, r=3, k=(4, 3, 5), lam=(3.0, 2.0, 1.5)),
+    ],
+)
+def test_sigma_max_projected_slices_keep_bits(params):
+    from pspinlab import rates
+
+    # more than one slice, with signed rows and rows off the domain
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-0.8, 0.8, size=(rates._SLICE + 904, params.r))
+    values = sigma_max_projected(params, pts)
+    assert values.shape == (len(pts),)
+    edge = np.arange(rates._SLICE - 40, rates._SLICE + 40)
+    for i in np.concatenate([edge, rng.choice(len(pts), 40, replace=False)]).tolist():
+        got = np.float64(sigma_max_projected(params, pts[i]))
+        assert values[i].tobytes() == got.tobytes(), (i, pts[i])
 
 
 def test_sigma_max_projected_above_brent_oracle():
