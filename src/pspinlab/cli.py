@@ -50,11 +50,11 @@ _FLOAT_CELLS = 2048
 # The most cells a grid, or rows a rate table, may have; checked before
 # anything is built.  It bounds the table that a command holds whole: its
 # points, values and text, about 0.3 KB a cell, since sigma_max_projected
-# takes a stack in slices.  A 2,048 x 2,048 sigma_max grid peaked at
-# 1,212 MB in 21.6 s at r = 2, and at 1,278 MB in 36.4 s at r = 4 with two
-# coordinates fixed (child max-RSS; Intel Xeon, one BLAS thread, Python
-# 3.11, numpy 2.4).  gamma1 at r = 4 costs the most, about 0.46 KB a cell
-# at 600 x 600, so about 2 GB at this cap (extrapolated, not run).
+# and gamma1 take a stack in slices of core._SLICE rows.  A 2,048 x 2,048
+# sigma_max grid peaked at 1,212 MB in 21.6 s at r = 2, and at 1,278 MB in
+# 36.4 s at r = 4 with two coordinates fixed (child max-RSS; Intel Xeon, one
+# BLAS thread, Python 3.11, numpy 2.4).  A 600 x 600 gamma1 grid at r = 4
+# peaked at 140 MB, against 136 MB for regime (193 MB in one batch).
 _MAX_CELLS = 2048 * 2048
 
 
@@ -160,7 +160,9 @@ class Resolver:
     Every config key must name a flag of the subcommand, and every flag or
     key given must be read by the command (`out` checks this once the
     command has read its inputs), so a misspelled, removed or inapplicable
-    flag is a usage error rather than silently ignored.
+    flag is a usage error rather than silently ignored.  `values` records
+    each flag read with the value it resolved to, defaults included: the
+    record of what ran that an experiment artifact carries as its inputs.
     """
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
@@ -173,34 +175,32 @@ class Resolver:
         self.args = args
         self.config = config
         self.given = {f for f in flags if getattr(args, f) is not None} | set(config)
-        self.read: set[str] = set()
+        self.values: dict = {}
 
     def get(self, name: str, conv, default=None, required: bool = False):
-        self.read.add(name)
         raw = getattr(self.args, name, None)
         if raw is None:
             raw = self.config.get(name)
-        if raw is None:
-            if required:
-                raise UsageError(f"missing required option --{name.replace('_', '-')}")
-            return default
-        return _convert(name, conv, raw)
+        if raw is None and required:
+            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+        value = default if raw is None else _convert(name, conv, raw)
+        self.values[name] = value
+        return value
 
     def get_list(self, name: str, conv, default=None):
-        self.read.add(name)
         raw = getattr(self.args, name, None)
         if raw is None:
             cfg = self.config.get(name)
-            if cfg is None:
-                return default
-            raw = [v for v in cfg.split(";") if v]
-        return [_convert(name, conv, v) for v in raw]
+            raw = None if cfg is None else [v for v in cfg.split(";") if v]
+        value = default if raw is None else [_convert(name, conv, v) for v in raw]
+        self.values[name] = value
+        return value
 
     def out(self) -> str | None:
         """The --out path, read after every other input: a flag or config
         key that the command did not read is a usage error."""
         path = self.get("out", str)
-        unread = sorted(self.given - self.read)
+        unread = sorted(self.given - self.values.keys())
         if unread:
             flags = ", ".join("--" + name.replace("_", "-") for name in unread)
             raise UsageError(f"unused option(s) for {self.args.command}: {flags}")
@@ -290,10 +290,10 @@ def _model_params(res: Resolver) -> ModelParams:
 
     p = res.get("p", int, required=True)
     r = res.get("r", int, required=True)
-    k = res.get("k", _conv_ints)
     lam = res.get("lam", _conv_floats, required=True)
-    if k is None:
-        k = (p,) * r
+    # degree p for each strength; ModelParams rejects a lam whose length is
+    # not r, so a huge --r never builds a default of r entries
+    k = res.get("k", _conv_ints, default=(p,) * len(lam))
     return ModelParams(p=p, r=r, k=k, lam=lam)
 
 
@@ -350,7 +350,7 @@ def cmd_grid(res: Resolver) -> int:
     size = math.prod(steps for _, _, steps in axes)
     _check_size(size, "grid cells")
     out = res.out()
-    from .core import RegimeLabel, _sigma_tot_and_code, aux_statistics, sigma_tot_projected
+    from .core import _SLICE, RegimeLabel, _sigma_tot_and_code, aux_statistics, sigma_tot_projected
 
     def core_value(m):
         """The quantity at one point or over a stack, core's one body; for
@@ -388,10 +388,13 @@ def cmd_grid(res: Resolver) -> int:
             elif quantity == "gamma1":
                 from .spikes import spike_eigenvalues
 
-                # gamma1 is -inf where the perturbation degenerates (some |m_i| >= 1)
+                # gamma1 is -inf where the perturbation degenerates (some
+                # |m_i| >= 1); the other rows are diagonalized in slices
                 values = np.full(len(pts), -math.inf)
-                ok = np.all(np.abs(pts) < 1.0, axis=1)
-                values[ok] = spike_eigenvalues(params, pts[ok])[:, 0]
+                ok = np.flatnonzero(np.all(np.abs(pts) < 1.0, axis=1))
+                for lo in range(0, len(ok), _SLICE):
+                    rows = ok[lo : lo + _SLICE]
+                    values[rows] = spike_eigenvalues(params, pts[rows])[:, 0]
             else:
                 values = core_value(pts)
                 if quantity == "regime":
@@ -508,7 +511,6 @@ def cmd_experiment(res: Resolver) -> int:
         raise UsageError(f"experiment must be one of {EXPERIMENTS}")
     seed = res.get("seed", int, required=True)
     started = time.perf_counter()
-    inputs: dict = {"seed": seed}
     theory = None
     extras: dict = {}
 
@@ -529,10 +531,9 @@ def cmd_experiment(res: Resolver) -> int:
         shift = res.get("shift", _float, default=0.0)
         trials = 1 if name == "esd" else res.get("trials", int, required=True)
         if name == "mc-lmax":
-            inputs["t"] = t = res.get("t", _float, required=True)
+            t = res.get("t", _float, required=True)
         out = res.out()
         spec = GOESpec(n=n, gamma=gamma, shift=shift, seed=seed)
-        inputs.update({"n": n, "gamma": list(gamma), "shift": shift, "trials": trials})
         gam_desc = tuple(sorted(gamma, reverse=True))
         if name == "esd":
             dists = esd_distance(spec)
@@ -566,7 +567,6 @@ def cmd_experiment(res: Resolver) -> int:
         est = spherical_integral_mc(n, gamma, diag, trials, seed=seed)
         estimate, std_error = est.value, est.std_error
         extras.update(est.extras)
-        inputs.update({"n": n, "gamma": list(gamma), "diag": list(diag), "trials": trials})
     else:
         from .kacrice import QuadratureError, count_expected, kac_rice_eval
 
@@ -579,28 +579,12 @@ def cmd_experiment(res: Resolver) -> int:
             which = int(which_raw)
         except ValueError:
             which = which_raw
-        inputs.update(
-            {
-                "p": params.p,
-                "r": params.r,
-                "k": list(params.k),
-                "lam": list(params.lam),
-                "n": n,
-                "which": str(which_raw),
-                "overlap_windows": [list(w) for w in overlap_windows]
-                if overlap_windows
-                else None,
-                "value_window": list(value_window) if value_window else None,
-            }
-        )
         if name == "kacrice-count":
             trials = res.get("trials", int, required=True)
             budget = res.get("budget", int, default=200)
-            inputs.update({"trials": trials, "budget": budget})
         else:
             trials = res.get("inner_trials", int, default=2048)
             batches = res.get("batches", int, default=8)
-            inputs.update({"inner_trials": trials, "batches": batches})
         out = res.out()
         common = dict(overlap_windows=overlap_windows, value_window=value_window,
                       which=which, seed=seed)
@@ -617,6 +601,13 @@ def cmd_experiment(res: Resolver) -> int:
     if isinstance(estimate, float) and math.isnan(estimate):
         raise ConvergenceError("estimate is NaN")
 
+    # the inputs are the values the command read, output paths aside; esd
+    # draws one matrix, and overlap_windows is the artifact's historical key
+    inputs = {key: v for key, v in res.values.items() if key not in ("experiment", "out")}
+    if name == "esd":
+        inputs["trials"] = trials
+    if "overlap_window" in inputs:
+        inputs["overlap_windows"] = inputs.pop("overlap_window")
     doc = {
         "experiment": name,
         "inputs": inputs,

@@ -48,6 +48,12 @@ if TYPE_CHECKING:
 __all__ = [name for name, home in _LAZY.items() if home == "core"]
 
 NEG_INF = float("-inf")
+# Rows of a stack that the bodies with wide per-row arrays take in one slice:
+# sigma_max_projected's candidate arrays, (rows, r + 1) and wider, cost about
+# 1.3 KB a row at r = 2 and 2.2 KB at r = 4 (peak RSS of a 300 x 300 grid in
+# one pass), and a gamma1 grid's perturbation matrices, (rows, r, r), about
+# 0.15 KB a row at r = 4, so a slice holds them to about 10 MB.
+_SLICE = 4096
 
 
 class ModelParams:

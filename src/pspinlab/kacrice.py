@@ -517,7 +517,7 @@ def count_expected(
         "ill_conditioned_roots": ill_conditioned,
         "euler_mismatch_landscapes": euler_mismatch,
     }
-    return MCEstimate(float(np.mean(counts)), se, trials, seed, extras)
+    return MCEstimate(float(np.mean(counts)), se, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -694,4 +694,4 @@ def kac_rice_eval(
         "quadrature_nodes": nodes,
         "quadrature_rel_gap": rel_gap,
     }
-    return MCEstimate(value, se, inner_trials, seed, extras)
+    return MCEstimate(value, se, extras)

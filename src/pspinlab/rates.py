@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import _LAZY
 from .core import (
+    _SLICE,
     ModelParams,
     _along,
     _any,
@@ -41,11 +42,6 @@ if TYPE_CHECKING:
 __all__ = [name for name, home in _LAZY.items() if home == "rates"]
 
 INF = float("inf")
-# Rows of a stack that sigma_max_projected takes in one slice.  Its
-# candidate arrays, (rows, r + 1) and wider, cost about 1.3 KB a row at
-# r = 2 and 2.2 KB at r = 4 (peak RSS of a 300 x 300 grid in one pass), so
-# a slice holds them to about 10 MB.
-_SLICE = 4096
 
 
 def i_goe(x: float | np.ndarray) -> float | np.ndarray:
@@ -79,8 +75,8 @@ def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndar
     """Rate for the top eigenvalue of a GOE matrix with one supercritical
     spike (gamma >= 1) to sit at x.  Zero exactly at the typical location
     gamma + 1/gamma; the smooth continuation below it is what enters i_max.
-    +inf below the bulk edge and at x = +inf.  gamma and x are floats or
-    arrays that broadcast together.
+    +inf below the bulk edge, at x = +inf and where the rate exceeds the
+    float range.  gamma and x are floats or arrays that broadcast together.
     """
     if _any(gamma < 1):
         raise ValueError(f"i_gamma requires gamma >= 1, got {gamma}")
@@ -88,11 +84,18 @@ def i_gamma(gamma: float | np.ndarray, x: float | np.ndarray) -> float | np.ndar
     off = (x < 2) | (x == INF)
     x = _select(off, 2.0, x)
     e = gamma + 1.0 / gamma
+    # where x * x or e * e overflows (above about 1.34e154) the terms below
+    # are inf - inf, so they run at 2 instead; there the rate is
+    # 0.25 (x - e)(x - gamma) to a few ulps, since the area terms (at most
+    # about 710) are below one ulp of it unless x = e, and so is 1/gamma
+    huge = (x * x == INF) | (e * e == INF)
+    xs, es = _select(huge, 2.0, x), _select(huge, 2.0, e)
     value = (
-        0.25 * (edge_area(x) - edge_area(e))
-        - 0.5 * gamma * (x - e)
-        + 0.125 * (x * x - e * e)
+        0.25 * (edge_area(xs) - edge_area(es))
+        - 0.5 * gamma * (xs - es)
+        + 0.125 * (xs * xs - es * es)
     )
+    value = _select(huge, (0.5 * (x - e)) * (0.5 * (x - gamma)), value)
     # the rate is >= 0; near x = e = 2 the three terms cancel to -1e-16
     # noise, which becomes 0.0 as -0.0 does, while NaN stays NaN
     value = _select(value <= 0.0, 0.0, value)

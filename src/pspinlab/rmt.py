@@ -45,12 +45,11 @@ class GOESpec:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo estimate with its standard error and provenance."""
+    """A Monte Carlo estimate with its standard error and diagnostics; the
+    trials and seed that made it are the caller's inputs."""
 
     value: float
     std_error: float
-    trials: int
-    seed: int
     extras: dict = field(default_factory=dict)
 
 
@@ -146,7 +145,7 @@ def mc_log_abs_det(spec: GOESpec, trials: int) -> MCEstimate:
     underflow = int(np.sum(np.isneginf(logs)))
     log_mean, se_log, weights = _log_mean_exp(logs)
     extras = {"underflow_trials": underflow, "all_underflow": underflow == trials, **weights}
-    return MCEstimate(log_mean / spec.n, se_log / spec.n, trials, spec.seed, extras)
+    return MCEstimate(log_mean / spec.n, se_log / spec.n, extras)
 
 
 def _log_abs_det_negative_definite(m: np.ndarray) -> float:
@@ -185,7 +184,7 @@ def mc_restricted_det(spec: GOESpec, trials: int) -> MCEstimate:
         "all_rejected": accepted == 0,
         **weights,
     }
-    return MCEstimate(log_mean / spec.n, se_log / spec.n, trials, spec.seed, extras)
+    return MCEstimate(log_mean / spec.n, se_log / spec.n, extras)
 
 
 def mc_lambda_max_tail(spec: GOESpec, trials: int, t: float) -> MCEstimate:
@@ -208,9 +207,9 @@ def mc_lambda_max_tail(spec: GOESpec, trials: int, t: float) -> MCEstimate:
     }
     n = spec.n
     if hits == 0:
-        return MCEstimate(float("-inf"), math.nan, trials, spec.seed, extras)
+        return MCEstimate(float("-inf"), math.nan, extras)
     se_prob = math.sqrt(prob * (1 - prob) / trials)
-    return MCEstimate(math.log(prob) / n, se_prob / (prob * n), trials, spec.seed, extras)
+    return MCEstimate(math.log(prob) / n, se_prob / (prob * n), extras)
 
 
 # ---------------------------------------------------------------------------
@@ -350,4 +349,4 @@ def spherical_integral_mc(
     value = math.exp(log_mean) if log_mean < 700 else float("inf")
     se = value * se_log if math.isfinite(value) else float("inf")
     extras = {"log_value": log_mean, "log_std_error_of_log": se_log, **weights}
-    return MCEstimate(value, se, trials, seed, extras)
+    return MCEstimate(value, se, extras)

@@ -189,6 +189,104 @@ def test_experiment_json_shape(tmp_path):
     assert doc["theory_value"] == -0.5
 
 
+_COUNT = ("--experiment", "kacrice-count", "--p", "3", "--r", "1", "--lam", "1", "--n", "2")
+# (argv, config file, inputs): the inputs object of each artifact as recorded
+# before it was read from the flags' resolved values
+EXPERIMENT_INPUTS = {
+    "mc-det": (
+        ("--experiment", "mc-det", "--n", "4", "--gamma", "1.5", "--shift", "0.5",
+         "--trials", "3", "--seed", "0"),
+        "",
+        {"gamma": [1.5], "n": 4, "seed": 0, "shift": 0.5, "trials": 3},
+    ),
+    "mc-lmax": (
+        ("--experiment", "mc-lmax", "--n", "4", "--gamma", "2.0,0.5", "--t", "2.5",
+         "--trials", "3", "--seed", "1"),
+        "",
+        {"gamma": [2, 0.5], "n": 4, "seed": 1, "shift": 0, "t": 2.5, "trials": 3},
+    ),
+    "mc-restricted": (
+        ("--experiment", "mc-restricted", "--n", "4", "--gamma", "1.5", "--shift", "2.5",
+         "--trials", "3", "--seed", "0"),
+        "",
+        {"gamma": [1.5], "n": 4, "seed": 0, "shift": 2.5, "trials": 3},
+    ),
+    "esd": (
+        ("--experiment", "esd", "--n", "6", "--seed", "0"),
+        "",
+        {"gamma": [], "n": 6, "seed": 0, "shift": 0, "trials": 1},
+    ),
+    "esd-spiked": (
+        ("--experiment", "esd", "--n", "6", "--gamma", "2.0,1.5", "--shift", "0.5",
+         "--seed", "2"),
+        "",
+        {"gamma": [2, 1.5], "n": 6, "seed": 2, "shift": 0.5, "trials": 1},
+    ),
+    "spherical": (
+        ("--experiment", "spherical", "--n", "3", "--gamma", "0.5", "--diag=-1,0,2",
+         "--trials", "4", "--seed", "0"),
+        "",
+        {"diag": [-1, 0, 2], "gamma": [0.5], "n": 3, "seed": 0, "trials": 4},
+    ),
+    "kacrice-count": (
+        (*_COUNT, "--trials", "2", "--seed", "0"),
+        "",
+        {"budget": 200, "k": [3], "lam": [1], "n": 2, "overlap_windows": None, "p": 3,
+         "r": 1, "seed": 0, "trials": 2, "value_window": None, "which": "total"},
+    ),
+    "kacrice-count-k": (
+        ("--experiment", "kacrice-count", "--p", "3", "--r", "2", "--k", "3,4",
+         "--lam", "1,0.5", "--n", "3", "--trials", "1", "--budget", "4", "--seed", "0"),
+        "",
+        {"budget": 4, "k": [3, 4], "lam": [1, 0.5], "n": 3, "overlap_windows": None, "p": 3,
+         "r": 2, "seed": 0, "trials": 1, "value_window": None, "which": "total"},
+    ),
+    "kacrice-count-max": (
+        (*_COUNT, "--trials", "2", "--which", "max", "--seed", "0"),
+        "",
+        {"budget": 200, "k": [3], "lam": [1], "n": 2, "overlap_windows": None, "p": 3,
+         "r": 1, "seed": 0, "trials": 2, "value_window": None, "which": "max"},
+    ),
+    "kacrice-count-windows": (
+        (*_COUNT, "--trials", "2", "--which", "1", "--overlap-window", "0:1",
+         "--value-window=-2:2", "--seed", "0"),
+        "",
+        {"budget": 200, "k": [3], "lam": [1], "n": 2, "overlap_windows": [[0, 1]], "p": 3,
+         "r": 1, "seed": 0, "trials": 2, "value_window": [-2, 2], "which": "1"},
+    ),
+    "kacrice-count-config": (
+        (*_COUNT, "--seed", "3"),
+        "trials=2\nwhich=max\noverlap_window=0:1\n",
+        {"budget": 200, "k": [3], "lam": [1], "n": 2, "overlap_windows": [[0, 1]], "p": 3,
+         "r": 1, "seed": 3, "trials": 2, "value_window": None, "which": "max"},
+    ),
+    "kacrice-formula": (
+        ("--experiment", "kacrice-formula", "--p", "3", "--r", "1", "--lam", "1", "--n", "2",
+         "--inner-trials", "8", "--batches", "2", "--seed", "0"),
+        "",
+        {"batches": 2, "inner_trials": 8, "k": [3], "lam": [1], "n": 2,
+         "overlap_windows": None, "p": 3, "r": 1, "seed": 0, "value_window": None,
+         "which": "total"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_INPUTS))
+def test_experiment_inputs_record_what_ran(tmp_path, name):
+    argv, config, inputs = EXPERIMENT_INPUTS[name]
+    cfg, out = tmp_path / "run.cfg", tmp_path / "e.json"
+    cfg.write_text(config)
+    assert run_cli(["experiment", *argv, "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    given = {tok[2:].partition("=")[0].replace("-", "_") for tok in argv if tok.startswith("--")}
+    given |= {line.partition("=")[0] for line in config.splitlines()}
+    for flag in given - {"experiment"}:
+        assert ("overlap_windows" if flag == "overlap_window" else flag) in doc["inputs"]
+    assert doc["inputs"] == inputs
+    trials = inputs.get("trials", inputs.get("inner_trials"))
+    assert (doc["seed"], doc["trials"]) == (inputs["seed"], trials)
+
+
 def test_experiment_reruns_identical_but_wall_time(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["experiment", "--experiment", "mc-lmax", "--n", "30",
@@ -259,6 +357,22 @@ def test_rate_huge_t_is_infinite():
         "3,0.2475462205568999,0,0",
         "",
     ]
+
+
+@pytest.mark.parametrize("float_cells", [cli._FLOAT_CELLS, 0])
+@pytest.mark.parametrize("gamma, t, want", [
+    ("1.5e154", "2.5", 5.625e307),
+    ("1.5e154", "1e154", 6.25e306),
+    ("1e200", "2.5", math.inf),
+])
+def test_rate_huge_spike_row(tmp_path, monkeypatch, float_cells, gamma, t, want):
+    # gamma * gamma overflows, yet the row holds the rate (checked against
+    # mpmath in test_rates), on floats and on the stack alike
+    monkeypatch.setattr(cli, "_FLOAT_CELLS", float_cells)
+    out = tmp_path / "rate.csv"
+    assert run_cli(["rate", "--gamma", gamma, "--t", t, "--out", str(out)]) == 0
+    _, row = out.read_text().splitlines()
+    assert [float(v) for v in row.split(",")[1:]] == pytest.approx([want] * 3, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma", ["1.5", "0.5", ""])
@@ -712,6 +826,22 @@ def test_classify_negative_overlap(tmp_path):
     assert doc["aux"]["tau"] == -1.4580000000000002
 
 
+def test_huge_rank_exit_code():
+    # the default k holds one degree per --lam entry, so a huge --r is a
+    # usage error, not a tuple of r entries; the child's address space is
+    # capped at 1 GiB, which a default built from r would exceed
+    import resource
+
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pspinlab.cli", "classify", "--p", "3", "--r", "300000000",
+         "--lam", "1", "--m", "0.5"],
+        capture_output=True, text=True, preexec_fn=cap,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "usage error: k and lam must each have length r\n"
+
+
 def test_grid_with_every_coordinate_fixed_exit_code(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("axis=\n")
@@ -788,23 +918,39 @@ def test_lazy_table_names_every_public_definition():
         assert defined == {name for name, m in pspinlab._LAZY.items() if m == home}, home
 
 
-def test_sigma_max_grid_memory_is_bounded(tmp_path):
-    # taken in one pass, this 90,000-row stack at r = 4 peaked at 232 MB; in
-    # slices of 4,096 rows the child peaks near 60 MB.  The child starts from
-    # a fresh interpreter, since its max-RSS counts the memory of the process
-    # that started it
-    status, peak_kb = _fresh_interpreter("""
+def _grid_child_peak_kb(tmp_path, quantity, steps):
+    """Exit status and max-RSS (KB) of a child writing a quantity's grid at
+    r = 4 over two axes of steps ticks.  The child starts from a fresh
+    interpreter, since its max-RSS counts the memory of the process that
+    started it."""
+    return _fresh_interpreter("""
     import os, subprocess
+    quantity, axis = sys.argv[2], "0:0.5:" + sys.argv[3]
     argv = [sys.executable, "-m", "pspinlab.cli", "grid", "--p", "3", "--r", "4",
-            "--lam", "2.0,1.5,1.2,1.0", "--quantity", "sigma_max",
-            "--axis", "0:0.5:300", "--axis", "0:0.5:300", "--fix", "2:0.1", "--fix", "3:0.1",
+            "--lam", "2.0,1.5,1.2,1.0", "--quantity", quantity,
+            "--axis", axis, "--axis", axis, "--fix", "2:0.1", "--fix", "3:0.1",
             "--out", sys.argv[1] + "/g.csv"]
     child = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=sys.path[0]))
     _, status, usage = os.wait4(child.pid, 0)
     print(json.dumps([status, usage.ru_maxrss]))
-    """, tmp_path)
+    """, tmp_path, quantity, steps)
+
+
+def test_sigma_max_grid_memory_is_bounded(tmp_path):
+    # taken in one pass, this 90,000-row stack at r = 4 peaked at 232 MB; in
+    # slices of 4,096 rows the child peaks near 60 MB
+    status, peak_kb = _grid_child_peak_kb(tmp_path, "sigma_max", 300)
     assert status == 0
     assert peak_kb < 120 * 1024
+
+
+def test_gamma1_grid_memory_is_bounded(tmp_path):
+    # diagonalized in one batch, these 360,000 rows peaked at 193 MB; in
+    # slices of 4,096 rows the child peaks near 140 MB, as a regime grid of
+    # the same size does (136 MB)
+    status, peak_kb = _grid_child_peak_kb(tmp_path, "gamma1", 600)
+    assert status == 0
+    assert peak_kb < 165 * 1024
 
 
 # sha256 of grid CSVs written by the point-by-point evaluator that the array

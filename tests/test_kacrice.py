@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import pspinlab.kacrice as kacrice
 from pspinlab import (
     ModelParams,
     build_polynomial,
@@ -609,6 +610,24 @@ def test_euler_mismatch_counts_incomplete_landscapes():
     # chi(S^2) = 2
     sparse = count_expected(P0, 3, 10, seed=73, budget=1)
     assert sparse.extras["euler_mismatch_landscapes"] == 10
+
+
+def test_count_keeps_degenerate_points_out_of_index_counts(monkeypatch):
+    # no circle landscape makes a degenerate point (its one tangent
+    # eigenvalue is inside its own zero band only when exactly 0), so
+    # hand-built points stand in; the second landscape's Morse sum is 0, and
+    # only its degenerate point breaks the relation
+    def point(index, degenerate=False):
+        return kacrice.CriticalPoint(position=(0.6, 0.8), value=0.0, overlaps=(0.6,),
+                                     index=index, residual=0.0, degenerate=degenerate)
+
+    landscapes = [[point(0), point(1)], [point(0), point(1), point(0, True), point(1)]]
+    monkeypatch.setattr(kacrice, "_landscapes", lambda *args: iter(landscapes))
+    for which, value in (("total", 3.0), (0, 1.0), ("max", 1.5)):
+        est = count_expected(P1, 2, 2, which=which)
+        assert est.value == value, which
+        assert est.extras["mean_degenerate"] == 0.5
+        assert est.extras["euler_mismatch_landscapes"] == 1
 
 
 def test_count_rejects_wrong_number_of_overlap_windows():

@@ -1,6 +1,8 @@
 """Large-deviation rate functions for the extreme eigenvalue."""
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,42 @@ def test_i_gamma_zero_at_outlier(gamma):
 @given(st.floats(1.0, 4.0), st.floats(2.0, 8.0))
 def test_i_gamma_nonnegative(gamma, x):
     assert i_gamma(gamma, x) >= 0.0
+
+
+def _i_gamma_60(gamma: float, x: float) -> float:
+    """i_gamma at 60 digits from the exact doubles gamma and x, rounded to a
+    float, or +inf past the float range."""
+    with mpmath.workdps(60):
+        g, x = mpmath.mpf(gamma), mpmath.mpf(x)
+        e = g + 1 / g
+
+        def area(y):
+            s = mpmath.sqrt(y * y - 4)
+            return y * s / 2 - 2 * mpmath.log((y + s) / 2)
+
+        value = (area(x) - area(e)) / 4 - g * (x - e) / 2 + (x * x - e * e) / 8
+        return float(value) if value <= sys.float_info.max else INF
+
+
+@pytest.mark.parametrize("gamma, x, want", [
+    (1.5e154, 2.5, 5.625e307),
+    (2e154, 2.5, 1e308),
+    (2.6e154, 2.5, 1.69e308),
+    (2.7e154, 2.5, INF),
+    (1e200, 2.5, INF),
+    (1.5e154, 1e154, 6.25e306),
+    (1e200, 1e201, INF),
+    (2.0, 1.5e154, 5.625e307),
+])
+def test_i_gamma_huge_spike_matches_mpmath(gamma, x, want):
+    # e * e (and from 1.5e154 on x * x) overflows; the rate is finite up to
+    # the float range and +inf past it, never 0 or NaN
+    assert _i_gamma_60(gamma, x) == pytest.approx(want, rel=1e-12)
+    with np.errstate(over="ignore"):
+        stack = i_gamma(np.array([gamma, 1.5]), np.array([x, 2.5]))
+    for got in (i_gamma(gamma, x), float(stack[0])):
+        assert got == pytest.approx(_i_gamma_60(gamma, x), rel=1e-12)
+    assert stack[1] == i_gamma(1.5, 2.5)
 
 
 def test_i_max_frozen():
