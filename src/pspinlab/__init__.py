@@ -81,7 +81,6 @@ _LAZY = {
         (
             "GOESpec",
             "MCEstimate",
-            "SpectralSample",
             "esd_distance",
             "mc_lambda_max_tail",
             "mc_log_abs_det",

@@ -512,7 +512,6 @@ def cmd_experiment(res: Resolver) -> int:
     seed = res.get("seed", int, required=True)
     started = time.perf_counter()
     theory = None
-    extras: dict = {}
 
     # the stochastic layer is imported here, so that closed-form commands
     # never load it; rates loads only for the two experiments that need it
@@ -520,6 +519,7 @@ def cmd_experiment(res: Resolver) -> int:
         from .core import phi_star
         from .rmt import (
             GOESpec,
+            MCEstimate,
             esd_distance,
             mc_lambda_max_tail,
             mc_log_abs_det,
@@ -536,26 +536,23 @@ def cmd_experiment(res: Resolver) -> int:
         spec = GOESpec(n=n, gamma=gamma, shift=shift, seed=seed)
         gam_desc = tuple(sorted(gamma, reverse=True))
         if name == "esd":
+            # one draw: W1 is the estimate, with no error bar
             dists = esd_distance(spec)
-            estimate, std_error = dists["w1"], None
-            extras["d_bl"] = dists["d_bl"]
+            est = MCEstimate(dists["w1"], None, {"d_bl": dists["d_bl"]})
             theory = 0.0
+        elif name == "mc-det":
+            est = mc_log_abs_det(spec, trials)
+            theory = phi_star(shift)
+        elif name == "mc-restricted":
+            from .rates import big_l
+
+            est = mc_restricted_det(spec, trials)
+            theory = phi_star(shift) - big_l(gam_desc, shift)
         else:
-            if name == "mc-det":
-                est = mc_log_abs_det(spec, trials)
-                theory = phi_star(shift)
-            elif name == "mc-restricted":
-                from .rates import big_l
+            from .rates import big_l
 
-                est = mc_restricted_det(spec, trials)
-                theory = phi_star(shift) - big_l(gam_desc, shift)
-            else:
-                from .rates import big_l
-
-                est = mc_lambda_max_tail(spec, trials, t)
-                theory = -big_l(gam_desc, t) if shift == 0.0 else None
-            estimate, std_error = est.value, est.std_error
-            extras.update(est.extras)
+            est = mc_lambda_max_tail(spec, trials, t)
+            theory = -big_l(gam_desc, t) if shift == 0.0 else None
     elif name == "spherical":
         from .rmt import spherical_integral_mc
 
@@ -565,8 +562,6 @@ def cmd_experiment(res: Resolver) -> int:
         trials = res.get("trials", int, required=True)
         out = res.out()
         est = spherical_integral_mc(n, gamma, diag, trials, seed=seed)
-        estimate, std_error = est.value, est.std_error
-        extras.update(est.extras)
     else:
         from .kacrice import QuadratureError, count_expected, kac_rice_eval
 
@@ -595,9 +590,8 @@ def cmd_experiment(res: Resolver) -> int:
                 est = kac_rice_eval(params, n, inner_trials=trials, batches=batches, **common)
             except QuadratureError as exc:
                 raise ConvergenceError(f"quadrature did not converge: {exc}")
-        estimate, std_error = est.value, est.std_error
-        extras.update(est.extras)
 
+    estimate, std_error, extras = est.value, est.std_error, est.extras
     if isinstance(estimate, float) and math.isnan(estimate):
         raise ConvergenceError("estimate is NaN")
 

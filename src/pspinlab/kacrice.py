@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -193,7 +193,12 @@ def _critical_points(
 
     The Morse index counts tangent-Hessian eigenvalues below a zero band of
     1e-8 times the spectral norm, from one batched eigvalsh; an eigenvalue
-    inside the band marks the point degenerate.
+    inside the band marks the point degenerate.  At n = 2 the tangent
+    Hessian is 1 x 1, its one eigenvalue sets the band, and so only an
+    eigenvalue of 0, or of magnitude at most 1e-20 (the band's floor), marks
+    a point degenerate.  ill_conditioned, when given, flags rows (N,) whose
+    roots were ill-conditioned, and rows whose gradient residual exceeds
+    _RESIDUAL_TOL are flagged with them.
     """
     if not len(sigma):
         return []
@@ -206,6 +211,8 @@ def _critical_points(
     residual = _norm(g_tan)
     if ill_conditioned is None:
         ill_conditioned = np.zeros(len(sigma), dtype=bool)
+    else:
+        ill_conditioned = ill_conditioned | (residual > _RESIDUAL_TOL)
     r = poly.params.r
     points = [
         CriticalPoint(
@@ -277,10 +284,7 @@ def _circle_roots(poly: SpikedPolynomial) -> tuple[np.ndarray, np.ndarray]:
 def _find_on_circle(poly: SpikedPolynomial) -> list[CriticalPoint]:
     angles, off = _circle_roots(poly)
     sigma = np.array([[math.cos(a), math.sin(a)] for a in angles.tolist()]).reshape(-1, 2)
-    points = _critical_points(poly, sigma, off > _MODULUS_TOL)
-    return [
-        replace(pt, ill_conditioned=True) if pt.residual > _RESIDUAL_TOL else pt for pt in points
-    ]
+    return _critical_points(poly, sigma, off > _MODULUS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +472,8 @@ def count_expected(
     holds one (lo, hi) window or None per coordinate; a list of another
     length raises ValueError.
 
-    which is "total", a Morse index, or "max" (index n - 1); index-resolved
+    which is "total", a Morse index in [0, n - 1], or "max" (index n - 1);
+    any other value raises ValueError.  Index-resolved
     counts exclude degenerate points, whose per-trial mean rides along in
     extras together with the completeness flag (guaranteed only on the
     circle), the number of ill-conditioned circle roots, and the number of
@@ -484,8 +489,10 @@ def count_expected(
     windows = _overlap_windows(params, overlap_windows)
     if which == "max":
         which = n - 1
-    elif isinstance(which, str) and which != "total":
-        raise ValueError(f'which must be "total", "max" or a Morse index, got {which!r}')
+    elif which != "total" and (isinstance(which, str) or not 0 <= which < n):
+        raise ValueError(
+            f'which must be "total", "max" or a Morse index in [0, {n - 1}], got {which!r}'
+        )
     euler = 1 + (-1) ** (n - 1)
     counts = np.empty(trials)
     degenerate_counts = np.empty(trials)
@@ -586,9 +593,10 @@ def kac_rice_eval(
     The rule doubles from _FIRST_NODES nodes per axis (and per piece) until
     two successive rules agree to _EPSREL on every batch, and the finer one is
     returned; QuadratureError is raised when that needs a rule finer than the
-    node cap.  The standard error comes from the spread of the disjoint trial
-    batches; batches < 1, or fewer inner trials than batches, raise
-    ValueError.
+    node cap, or when, with no window given, the accepted rule is 0 on every
+    batch: E Crt is then at least 2 (1 for "max").  The standard error
+    comes from the spread of the disjoint trial batches; batches < 1, or
+    fewer inner trials than batches, raise ValueError.
     """
     if params.r > n - 1:
         raise ValueError("the expected-count integral needs r <= n - 1")
@@ -603,9 +611,7 @@ def kac_rice_eval(
     windows = _overlap_windows(params, overlap_windows)
 
     lam_sum = sum(params.lam)
-    if value_window is None:
-        value_window = (-lam_sum - 9.0, lam_sum + 9.0)
-    x_lo, x_hi = value_window
+    x_lo, x_hi = (-lam_sum - 9.0, lam_sum + 9.0) if value_window is None else value_window
 
     m_dim = n - 1
     root = math.sqrt(n / (n - 1))
@@ -685,6 +691,10 @@ def kac_rice_eval(
         raise QuadratureError(
             f"Gauss rules up to {nodes} nodes per axis still differ beyond epsrel = {_EPSREL}"
         )
+    # without windows every landscape has a maximum and a minimum, so a rule
+    # that is 0 on every batch has missed the integrand's mass
+    if value_window is None and all(w is None for w in windows) and not np.any(fine):
+        raise QuadratureError(f"the accepted {nodes}-node rule is 0 on every batch")
 
     value = float(np.mean(fine))
     se = float(np.std(fine, ddof=1)) / math.sqrt(batches) if batches > 1 else math.nan

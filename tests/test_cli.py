@@ -287,6 +287,53 @@ def test_experiment_inputs_record_what_ran(tmp_path, name):
     assert (doc["seed"], doc["trials"]) == (inputs["seed"], trials)
 
 
+# sha256 of each experiment's artifact without its wall_time line, recorded
+# before d_bl became one array pass and the wrapper records went: one small
+# argv per experiment, esd with spikes and a shift
+EXPERIMENT_GOLDEN = {
+    "mc-det": (
+        ("--n", "12", "--gamma", "1.5,0.5", "--shift", "0.5", "--trials", "20", "--seed", "0"),
+        "8674d8f14139a7d0e86e6f1a30d04969aabd1e6b82cdb1e32999a4df8a79a1ba",
+    ),
+    "mc-lmax": (
+        ("--n", "12", "--gamma", "2.0,0.5", "--t", "2.5", "--trials", "20", "--seed", "1"),
+        "3814f35ae09e0d712547c134dc94c57311a0fc9e1b574510c463359ffbd26a44",
+    ),
+    "mc-restricted": (
+        ("--n", "12", "--gamma", "1.5", "--shift", "2.4", "--trials", "40", "--seed", "0"),
+        "db5352073335a8f4015158d0a65221e8d2c14c69704c39191c9aa8e47130695a",
+    ),
+    "esd": (
+        ("--n", "60", "--gamma", "2.0,1.5", "--shift", "0.5", "--seed", "2"),
+        "3ecfb925906a09ecbc81a3d2a019b1e084c08e73ba5ed51d6207ba0274c8e4ee",
+    ),
+    "spherical": (
+        ("--n", "5", "--gamma", "0.8,0.3", "--diag=-1,-0.5,0,0.5,1", "--trials", "50",
+         "--seed", "0"),
+        "787ec2789c9fd5e28847b30c8d47f5a1f2982f9c0949056cc1388ae3eb66c975",
+    ),
+    "kacrice-count": (
+        ("--p", "3", "--r", "1", "--lam", "1", "--n", "2", "--trials", "10", "--seed", "0"),
+        "8ee4cf1405e413e8db1cebfc474a0c2acf33a2d224d0cabd9990f1fa4af04e4b",
+    ),
+    "kacrice-formula": (
+        ("--p", "3", "--r", "1", "--lam", "1", "--n", "2", "--inner-trials", "64",
+         "--batches", "4", "--seed", "0"),
+        "49459fcca534025a06424e8455085f4f712afcb1b613567445623524f4631eaf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_GOLDEN))
+def test_experiment_artifact_matches_recorded_digest(tmp_path, name):
+    argv, digest = EXPERIMENT_GOLDEN[name]
+    out = tmp_path / "e.json"
+    assert run_cli(["experiment", "--experiment", name, *argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    kept = "".join(ln for ln in lines if not ln.lstrip().startswith('"wall_time":'))
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
 def test_experiment_reruns_identical_but_wall_time(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["experiment", "--experiment", "mc-lmax", "--n", "30",
@@ -650,6 +697,64 @@ def test_kacrice_count_bad_which_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("n, which", [("2", "5"), ("2", "-1"), ("3", "3"), ("3", "-1")])
+def test_kacrice_count_index_out_of_range_exit_code(tmp_path, capsys, n, which):
+    out = tmp_path / "count.json"
+    rc = run_cli(["experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1",
+                  "--lam", "0.0", "--n", n, "--trials", "2", f"--which={which}",
+                  "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f'usage error: which must be "total", "max" or a Morse index in [0, {int(n) - 1}],'
+        f" got {which}\n"
+    )
+
+
+@pytest.mark.parametrize("lam", ["1e4", "1e20"])
+def test_kacrice_formula_zero_on_every_batch_exit_code(tmp_path, capsys, lam):
+    # kacrice-count --trials 200 reads 3.94 +- 0.14 on this model at lam = 1e4;
+    # the accepted rule reads 0
+    out = tmp_path / "formula.json"
+    rc = run_cli(["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "1",
+                  "--lam", lam, "--n", "2", "--inner-trials", "512", "--batches", "4",
+                  "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "non-convergence: quadrature did not converge: "
+        "the accepted 32-node rule is 0 on every batch\n"
+    )
+
+
+def _stderr_of(*argv):
+    """Exit code and stderr of the CLI in a fresh interpreter, where numpy's
+    warnings would print."""
+    proc = subprocess.run([sys.executable, "-m", "pspinlab.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def test_spherical_overflowing_exponent_exit_code(tmp_path):
+    out = tmp_path / "s.json"
+    rc, err = _stderr_of("experiment", "--experiment", "spherical", "--n", "2",
+                         "--gamma", "1e308", "--diag", "1,2", "--trials", "3", "--seed", "0",
+                         "--out", str(out))
+    assert rc == 2
+    assert err == "usage error: the spherical integral's exponent leaves the float range\n"
+    assert not out.exists()
+
+
+def test_esd_huge_spike_writes_no_warning(tmp_path):
+    out = tmp_path / "esd.json"
+    rc, err = _stderr_of("experiment", "--experiment", "esd", "--n", "3", "--gamma", "1e308",
+                         "--seed", "0", "--out", str(out))
+    assert (rc, err) == (0, "")
+    doc = json.loads(out.read_text())
+    assert doc["estimate"] == 3.3333333333333337e307
+    assert 0.0 < doc["extras"]["d_bl"] < 1.0
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_kacrice_count_bad_budget_exit_code(tmp_path, budget):
     # no smooth function on the sphere has zero critical points
@@ -883,20 +988,11 @@ def test_unread_config_key_exit_code(tmp_path, capsys):
 
 
 def test_export_lists_agree():
-    # _LAZY is the one list of public names; each module reads its __all__
-    # from it, so this checks that reading and the package's __all__
+    # _LAZY is the one list of public names, and each module reads its
+    # __all__ from it (test_lazy_table_names_every_public_definition checks
+    # the names); the package's __all__ names each once
     import pspinlab
-    from pspinlab import core, kacrice, rates, rmt, spikes
 
-    assert pspinlab._LAZY == {
-        **dict.fromkeys(core.__all__, "core"),
-        **dict.fromkeys(rates.__all__, "rates"),
-        **dict.fromkeys(spikes.__all__, "spikes"),
-        **dict.fromkeys(kacrice.__all__, "kacrice"),
-        **dict.fromkeys(rmt.__all__, "rmt"),
-    }
-    modules = (core, rates, spikes, rmt, kacrice)
-    assert set(pspinlab.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
     assert len(pspinlab.__all__) == len(set(pspinlab.__all__))
 
 

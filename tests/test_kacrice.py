@@ -7,6 +7,7 @@ import pytest
 import pspinlab.kacrice as kacrice
 from pspinlab import (
     ModelParams,
+    QuadratureError,
     build_polynomial,
     c_constant,
     count_expected,
@@ -433,6 +434,19 @@ def test_gauss_rule_node_cap_raises(monkeypatch):
         kac_rice_eval(P1, 2, inner_trials=64, batches=2, seed=0)
 
 
+@pytest.mark.parametrize("lam", [1e4, 1e20])
+@pytest.mark.parametrize("which", ["total", "max"])
+def test_formula_zero_on_every_batch_raises(lam, which):
+    # with no window, E Crt >= 2 (>= 1 for "max"); a rule that misses the
+    # integrand's mass at a huge spike is 0 on every batch, not a count
+    params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
+    with pytest.raises(QuadratureError, match="0 on every batch"):
+        kac_rice_eval(params, 2, inner_trials=64, batches=4, seed=0, which=which)
+    # a value window may hold no critical point, and then 0 is the answer
+    est = kac_rice_eval(P1, 2, value_window=(100.0, 110.0), inner_trials=64, batches=4, seed=0)
+    assert est.value == 0.0
+
+
 # ---------------------------------------------------------------------------
 # index selection in direct counts
 
@@ -448,6 +462,13 @@ def test_count_which_max_is_top_index():
 def test_count_which_rejects_unknown_label():
     with pytest.raises(ValueError):
         count_expected(P0, 2, 5, seed=1, which="min")
+
+
+@pytest.mark.parametrize("n, which", [(2, 2), (2, 5), (2, -1), (3, 3), (3, -1)])
+def test_count_which_rejects_index_outside_range(n, which):
+    # a Morse index on S^{n-1} lies in [0, n - 1]; any other one would count 0
+    with pytest.raises(ValueError, match=rf"Morse index in \[0, {n - 1}\]"):
+        count_expected(P0, n, 2, seed=1, which=which, budget=4)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,14 @@ def test_sampling_deterministic():
     spec = GOESpec(n=50, gamma=(1.5,), shift=0.3, seed=42)
     a = sample_spectrum(spec)
     b = sample_spectrum(spec)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a, b)
+    assert np.all(np.diff(a) >= 0.0)  # ascending
 
 
 def test_n1_variance_is_two():
     # the 1x1 entry is a diagonal element, variance 2/n = 2
     vals = [
-        sample_spectrum(GOESpec(n=1, seed=5000 + t)).eigenvalues[0]
+        sample_spectrum(GOESpec(n=1, seed=5000 + t))[0]
         for t in range(4000)
     ]
     v = float(np.var(vals))
@@ -43,17 +44,17 @@ def test_n1_variance_is_two():
 def test_second_moment_near_one():
     # bulk second moment of the semicircle on [-2, 2] is 1
     spec = GOESpec(n=300, seed=9)
-    vals = sample_spectrum(spec).eigenvalues
+    vals = sample_spectrum(spec)
     m2 = float(np.mean(vals**2))
     assert abs(m2 - 1.0) < 0.05
 
 
 def test_spike_shifts_edge():
     spec = GOESpec(n=500, gamma=(2.0,), seed=3)
-    vals = sample_spectrum(spec).eigenvalues
+    vals = sample_spectrum(spec)
     assert abs(float(vals.max()) - 2.5) < 0.15
     unspiked = GOESpec(n=500, seed=3)
-    base = sample_spectrum(unspiked).eigenvalues
+    base = sample_spectrum(unspiked)
     assert abs(float(base.max()) - 2.0) < 0.15
 
 
@@ -128,13 +129,45 @@ def test_w1_matches_cdf_quadrature(gamma):
     # no code with the quantile coupling
     from pspinlab.rmt import _w1_to_semicircle
 
-    ev = sample_spectrum(GOESpec(n=300, gamma=gamma, seed=3)).eigenvalues
+    ev = sample_spectrum(GOESpec(n=300, gamma=gamma, seed=3))
     x = np.linspace(min(ev[0], -2.0) - 0.1, max(ev[-1], 2.0) + 0.1, 2_000_001)
     xc = np.clip(x, -2.0, 2.0)
     f_sc = 0.5 + xc * np.sqrt(4.0 - xc * xc) / (4.0 * np.pi) + np.arcsin(xc / 2.0) / np.pi
     f_emp = np.searchsorted(ev, x, side="right") / len(ev)
     oracle = float(np.sum(np.abs(f_emp - f_sc)) * (x[1] - x[0]))
     assert _w1_to_semicircle(ev) == pytest.approx(oracle, abs=1e-5)
+
+
+def _d_bl_tent_by_tent(ev):
+    """d_bl as one tent at a time computes it: the oracle of the array pass."""
+    from pspinlab.rmt import _tent_semicircle_integral
+
+    d_bl = 0.0
+    for w in (0.25, 0.5, 1.0, 2.0):
+        amp = w / (1.0 + w)
+        for c in np.arange(-2.4, 2.45, 0.1):
+            emp = amp * float(np.mean(np.maximum(0.0, 1.0 - np.abs(ev - c) / w)))
+            ref = float(_tent_semicircle_integral(c, w, amp))
+            d_bl = max(d_bl, abs(emp - ref))
+    return d_bl
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 500])
+@pytest.mark.parametrize("gamma, shift", [((), 0.0), ((2.0, 1.5), 0.5), ((4.0,), -1.0)])
+def test_d_bl_array_pass_matches_tent_loop(n, gamma, shift):
+    for seed in range(3):
+        spec = GOESpec(n=n, gamma=gamma[:n], shift=shift, seed=seed)
+        assert esd_distance(spec)["d_bl"] == _d_bl_tent_by_tent(sample_spectrum(spec))
+
+
+@pytest.mark.filterwarnings("error")
+def test_esd_huge_spike_warns_nothing():
+    # |ev - c| / w overflows for the spiked eigenvalue, whose tents are all 0
+    spec = GOESpec(n=3, gamma=(1e308,), seed=0)
+    d = esd_distance(spec)
+    with np.errstate(over="ignore"):
+        assert d["d_bl"] == _d_bl_tent_by_tent(sample_spectrum(spec)) > 0.0
+    assert math.isfinite(d["w1"])
 
 
 def test_esd_spiked_comparable():
@@ -169,6 +202,16 @@ def test_spherical_integral_rejects_non_finite_inputs(gamma, diag):
     # a NaN weight would make every log term NaN and the estimate +inf
     with pytest.raises(ValueError):
         spherical_integral_mc(3, gamma, diag, 5, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, diag", [
+    ((1e308,), (1.0, 2.0)), ((1e308, -1e308), (1.0, 2.0)), ((1e300,), (1e10, 2e10)),
+])
+def test_spherical_integral_rejects_overflowing_exponent(gamma, diag):
+    # the exponent overflows to +inf (or to NaN as inf - inf): no warning, a ValueError
+    with pytest.raises(ValueError, match="leaves the float range"):
+        spherical_integral_mc(2, gamma, diag, 3, seed=0)
 
 
 def test_spherical_integral_deterministic():
@@ -246,11 +289,12 @@ def _oracle_eigenvalues(spec: GOESpec, trial: int) -> np.ndarray:
 def test_goe_draw_matches_normal_stream(n, seed):
     # standard_normal and normal(0, 1) return the same bits, so the stream is
     # the one recorded artifacts were drawn from
-    from pspinlab.rmt import _goe
+    from pspinlab.rmt import _draws
 
     for trial in range(3):
         a = np.random.default_rng((seed, trial)).normal(size=(n, n))
-        assert np.array_equal(_goe(n, seed, trial), (a + a.T) / math.sqrt(2.0 * n))
+        w = next(_draws(GOESpec(n=n, seed=seed), (trial,)))
+        assert np.array_equal(w, (a + a.T) / math.sqrt(2.0 * n))
 
 
 def test_draws_reuse_one_buffer():
@@ -264,7 +308,7 @@ def test_draws_reuse_one_buffer():
         assert np.array_equal(w, _oracle_matrix(spec, t))
         seen.append(w)
     assert all(w is seen[0] for w in seen)
-    assert np.array_equal(sample_spectrum(spec).eigenvalues, _oracle_eigenvalues(spec, 0))
+    assert np.array_equal(sample_spectrum(spec), _oracle_eigenvalues(spec, 0))
 
 
 def _per_trial_logs(monkeypatch, estimator, spec, trials):
