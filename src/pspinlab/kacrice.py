@@ -6,12 +6,13 @@ The random part is a symmetrized Gaussian p-tensor scaled so that the field
 has covariance <sigma, sigma'>^p / (2n) on the unit sphere of R^n; spikes sit
 on the first r coordinate axes.  At n = 2 the critical points are the zeros
 of a trigonometric polynomial, found exactly as the unit-circle roots of its
-companion matrix; for n >= 3 a budgeted multistart Riemannian Newton search
-is best-effort.  The multistart advances a stack of starts in lockstep, all
-starts of as many landscapes as fill one array pass at once, and each row
-takes exactly the steps a search from that start alone would take.  The
-expected-count integral is a Gauss-Legendre rule, split at the kinks of
-|det H| and checked by refinement.
+companion matrix; a count takes its landscapes in array passes, each with
+one FFT and one batched eigvals.  For n >= 3 a budgeted multistart
+Riemannian Newton search is best-effort.  It advances one stack of starts in
+lockstep, refilled from the pending starts of a bounded group of landscapes
+as rows finish, and each row takes exactly the steps a search from that
+start alone would take.  The expected-count integral is a Gauss-Legendre
+rule, split at the kinks of |det H| and checked by refinement.
 """
 from __future__ import annotations
 
@@ -138,12 +139,13 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _value(poly: SpikedPolynomial, sigma: np.ndarray) -> np.ndarray:
-    """The landscape at one point (n,) or at each point of a stack (..., n)."""
-    p = poly.params.p
-    v = np.einsum(_subscripts(p, 0), poly.tensor, *([sigma] * p))
-    for i, (lam_i, k_i) in enumerate(zip(poly.params.lam, poly.params.k)):
-        v = v + lam_i * _libm(pow, sigma[..., i], k_i)
+def _value(polys, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The landscape values (N,) at the rows of sigma (N, n), row j on
+    polys[owner[j]]."""
+    params = polys[0].params
+    v = _contract(polys, owner, sigma, 0)
+    for i, (lam_i, k_i) in enumerate(zip(params.lam, params.k)):
+        v = v + lam_i * _libm(pow, sigma[:, i], k_i)
     return v
 
 
@@ -185,56 +187,52 @@ def _tangent_hessian(polys, owner: np.ndarray, sigma: np.ndarray, radial: np.nda
     return b.transpose(0, 2, 1) @ h @ b - radial[:, None, None] * np.eye(n - 1), b
 
 
-def _critical_points(
-    poly: SpikedPolynomial, sigma: np.ndarray, ill_conditioned=None
-) -> list[CriticalPoint]:
-    """CriticalPoints for the rows of sigma (N, n) on one landscape, sorted by
-    (value, position).
+def _critical_points(polys, owner: np.ndarray, sigma: np.ndarray, ill=None) -> list[list[CriticalPoint]]:
+    """CriticalPoints for the rows of sigma (N, n), row j on polys[owner[j]]:
+    one list per landscape of polys, each sorted by (value, position).
 
-    The Morse index counts tangent-Hessian eigenvalues below a zero band of
-    1e-8 times the spectral norm, from one batched eigvalsh; an eigenvalue
-    inside the band marks the point degenerate.  At n = 2 the tangent
-    Hessian is 1 x 1, its one eigenvalue sets the band, and so only an
-    eigenvalue of 0, or of magnitude at most 1e-20 (the band's floor), marks
-    a point degenerate.  ill_conditioned, when given, flags rows (N,) whose
-    roots were ill-conditioned, and rows whose gradient residual exceeds
-    _RESIDUAL_TOL are flagged with them.
+    Every row of the call goes through one gradient, one batched QR, one
+    batched eigvalsh and one value pass.  The Morse index counts
+    tangent-Hessian eigenvalues below a zero band of 1e-8 times the spectral
+    norm; an eigenvalue inside the band marks the point degenerate.  At
+    n = 2 the tangent Hessian is 1 x 1, its one eigenvalue sets the band,
+    and so only an eigenvalue of 0, or of magnitude at most 1e-20 (the
+    band's floor), marks a point degenerate.  ill, when given, flags rows
+    (N,) whose roots were ill-conditioned, and rows whose gradient residual
+    exceeds _RESIDUAL_TOL are flagged with them.
     """
+    found: list[list[CriticalPoint]] = [[] for _ in polys]
     if not len(sigma):
-        return []
-    owner = np.zeros(len(sigma), dtype=int)
-    g_tan, radial = _projected_gradient([poly], owner, sigma)
-    ev = np.linalg.eigvalsh(_tangent_hessian([poly], owner, sigma, radial)[0])
+        return found
+    g_tan, radial = _projected_gradient(polys, owner, sigma)
+    ev = np.linalg.eigvalsh(_tangent_hessian(polys, owner, sigma, radial)[0])
     band = 1e-8 * np.maximum(np.max(np.abs(ev), axis=1), 1e-12)[:, None]
     degenerate = np.any(np.abs(ev) <= band, axis=1)
     index = np.sum(ev < -band, axis=1)
     residual = _norm(g_tan)
-    if ill_conditioned is None:
-        ill_conditioned = np.zeros(len(sigma), dtype=bool)
-    else:
-        ill_conditioned = ill_conditioned | (residual > _RESIDUAL_TOL)
-    r = poly.params.r
-    points = [
-        CriticalPoint(
+    ill = np.zeros(len(sigma), dtype=bool) if ill is None else ill | (residual > _RESIDUAL_TOL)
+    r = polys[0].params.r
+    for j, row, value, i, res, deg, bad in zip(
+        owner.tolist(),
+        sigma.tolist(),
+        _value(polys, owner, sigma).tolist(),
+        index.tolist(),
+        residual.tolist(),
+        degenerate.tolist(),
+        ill.tolist(),
+    ):
+        found[j].append(CriticalPoint(
             position=tuple(row),
             value=value,
             overlaps=tuple(row[:r]),
             index=i,
             residual=res,
             degenerate=deg,
-            ill_conditioned=ill,
-        )
-        for row, value, i, res, deg, ill in zip(
-            sigma.tolist(),
-            _value(poly, sigma).tolist(),
-            index.tolist(),
-            residual.tolist(),
-            degenerate.tolist(),
-            ill_conditioned.tolist(),
-        )
-    ]
-    points.sort(key=lambda c: (c.value, c.position))
-    return points
+            ill_conditioned=bad,
+        ))
+    for points in found:
+        points.sort(key=lambda c: (c.value, c.position))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -249,42 +247,57 @@ _MODULUS_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 
 
-def _circle_derivative(poly: SpikedPolynomial, phi: np.ndarray) -> np.ndarray:
-    """d/dphi of the landscape along the unit circle: the gradient at
-    (cos phi, sin phi) dotted with the tangent (-sin phi, cos phi)."""
-    sigma = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    tangent = np.stack([-sigma[:, 1], sigma[:, 0]], axis=1)
-    return _dot(_grad([poly], np.zeros(len(phi), dtype=int), sigma), tangent)
+def _circle_pass(degree: int) -> int:
+    """Landscapes per pass at n = 2: the pass's largest array, the series of
+    every root (at most 2 degree per landscape, each of 2 degree + 1 complex
+    terms), holds at most _CHUNK doubles."""
+    return max(1, _CHUNK // (4 * degree * (2 * degree + 1)))
 
 
-def _circle_roots(poly: SpikedPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """Every zero of the circle derivative, and how far off |z| = 1 the
-    companion root it came from lies.
+def _circle_points(polys: Sequence[SpikedPolynomial]) -> list[list[CriticalPoint]]:
+    """Every critical point of each landscape on the unit circle.
 
     On the circle the derivative is a trigonometric polynomial
     g(phi) = sum_{|j| <= D} c_j e^{i j phi} of degree D = max(p, k_i).  Its
-    coefficients come from one FFT of 4D + 4 samples, its zeros are the
-    unit-modulus roots of z^D g, a polynomial of degree 2D, and each angle is
-    polished by one Newton step on the series.
+    coefficients come from 4D + 4 samples, taken for every landscape by one
+    gradient pass and transformed by one FFT along the sample axis.  Its
+    zeros are the unit-modulus roots of z^D g, a polynomial of degree 2D,
+    found as np.roots finds them: the companion matrices of all landscapes
+    go to one batched eigvals, and a landscape whose outermost coefficient
+    is exactly 0 goes to np.roots alone.  Each angle is polished by one
+    Newton step on its series, and all roots are classified together.
     """
-    degree = max(poly.params.p, *poly.params.k)
+    params = polys[0].params
+    degree = max(params.p, *params.k)
     samples = 4 * degree + 4
     freq = np.arange(-degree, degree + 1)
     phi = 2.0 * math.pi * np.arange(samples) / samples
-    coef = np.fft.fft(_circle_derivative(poly, phi))[freq] / samples
-    z = np.roots(coef[::-1])
+    circle = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    tangent = np.stack([-circle[:, 1], circle[:, 0]], axis=1)
+    count = len(polys)
+    at = np.tile(circle, (count, 1))
+    slope = _dot(_grad(polys, np.repeat(np.arange(count), samples), at), np.tile(tangent, (count, 1)))
+    coef = np.fft.fft(slope.reshape(count, samples), axis=1)[:, freq] / samples
+    # descending powers of z^D g, as np.roots takes them
+    desc = coef[:, ::-1]
+    full = (desc[:, 0] != 0) & (desc[:, -1] != 0)
+    companion = np.zeros((np.count_nonzero(full), 2 * degree, 2 * degree), dtype=complex)
+    companion[:, 0] = -desc[full, 1:] / desc[full, :1]
+    companion[:, 1:, :-1] = np.eye(2 * degree - 1)
+    # padding zeros lie off the circle, as the zero roots np.roots appends do
+    z = np.zeros((count, 2 * degree), dtype=complex)
+    z[full] = np.linalg.eigvals(companion)
+    for j in np.flatnonzero(~full).tolist():
+        roots = np.roots(desc[j])
+        z[j, :len(roots)] = roots
     off = np.abs(np.abs(z) - 1.0)
     on_circle = off <= _MODULUS_BAND
+    owner = np.nonzero(on_circle)[0]
     angle = np.angle(z[on_circle])
-    waves = coef * np.exp(1j * np.outer(angle, freq))
+    waves = coef[owner] * np.exp(1j * np.outer(angle, freq))
     angle -= waves.sum(axis=1).real / (waves @ (1j * freq)).real
-    return angle, off[on_circle]
-
-
-def _find_on_circle(poly: SpikedPolynomial) -> list[CriticalPoint]:
-    angles, off = _circle_roots(poly)
-    sigma = np.array([[math.cos(a), math.sin(a)] for a in angles.tolist()]).reshape(-1, 2)
-    return _critical_points(poly, sigma, off > _MODULUS_TOL)
+    sigma = np.column_stack([_libm(math.cos, angle), _libm(math.sin, angle)])
+    return _critical_points(polys, owner, sigma, off[on_circle] > _MODULUS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +309,16 @@ _HALVINGS = 25
 
 
 def _pass_rows(n: int) -> int:
-    """Starts per lockstep pass: the pass's largest array, the trial points of
-    every step size, holds at most _CHUNK doubles."""
+    """Rows of the Newton stack: its largest array, the trial points of every
+    step size, holds at most _CHUNK doubles."""
     return max(1, _CHUNK // (_HALVINGS * n))
+
+
+def _search_group(n: int, budget: int) -> int:
+    """Landscapes per multistart at n >= 3: classifying every start of the
+    group, were all to converge apart, builds (rows, n, n + 1) QR frames of
+    at most _CHUNK doubles, so a count's memory does not grow with trials."""
+    return max(1, _CHUNK // (max(budget, 1) * n * (n + 1)))  # _multistart rejects budget < 1
 
 
 def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -316,32 +336,43 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _newton(polys, owner: np.ndarray, sigma: np.ndarray, tol: float):
-    """Riemannian Newton from every row of sigma (N, n) at once, row j on
-    landscape polys[owner[j]]; returns the final points and their projected
-    gradient norms.
+    """Riemannian Newton from every row of sigma (N, n), row j on landscape
+    polys[owner[j]]; returns the final points and their projected gradient
+    norms.
 
     Each row follows the per-start rule: stop once the residual is <= tol;
     otherwise take the Newton step (least squares on a singular Hessian),
     clipped to norm 1, and halve it up to 25 times until the residual drops,
-    with a 0.1 gradient step if none does; at most 80 iterations.  All rows
-    advance together, converged rows leave the stack, and the 25 step sizes
-    are tried in one pass, the first that lowers the residual being taken.
+    with a 0.1 gradient step if none does; at most 80 iterations.  The rows
+    advance in lockstep in one stack of at most _pass_rows(n) rows.  A row
+    leaves it when it converges or has taken 80 iterations, and the pending
+    rows refill it in row order, so each landscape's rows stay contiguous.
+    The 25 step sizes are tried in one pass, the first that lowers the
+    residual being taken.
     """
     sigma = sigma.copy()
     n = sigma.shape[1]
     res = np.empty(len(sigma))
-    live = np.arange(len(sigma))
+    capacity = _pass_rows(n)
+    live = age = np.arange(0)
+    pending = 0
     steps = 0.5 ** np.arange(_HALVINGS)
-    for _ in range(_NEWTON_ITERATIONS):
+    while len(live) or pending < len(sigma):
+        fresh = np.arange(pending, min(len(sigma), pending + capacity - len(live)))
+        pending += len(fresh)
+        live = np.concatenate([live, fresh])
+        age = np.concatenate([age, np.zeros_like(fresh)])
         own, at = owner[live], sigma[live]
         g_tan, radial = _projected_gradient(polys, own, at)
         r = _norm(g_tan)
-        done = r <= tol
+        done = (r <= tol) | (age == _NEWTON_ITERATIONS)
         res[live[done]] = r[done]
         go = ~done
-        live, own, at, g_tan, radial, r = live[go], own[go], at[go], g_tan[go], radial[go], r[go]
+        live, age, own, at, g_tan, radial, r = (
+            live[go], age[go] + 1, own[go], at[go], g_tan[go], radial[go], r[go]
+        )
         if not len(live):
-            break
+            continue
         h_tan, b = _tangent_hessian(polys, own, at, radial)
         rhs = (b.transpose(0, 2, 1) @ g_tan[:, :, None])[:, :, 0]
         delta = _solve(h_tan, -rhs)
@@ -361,79 +392,69 @@ def _newton(polys, owner: np.ndarray, sigma: np.ndarray, tol: float):
         fall = at[stalled] - 0.1 * g_tan[stalled] / np.maximum(r[stalled], 1e-12)[:, None]
         nxt[stalled] = fall / _norm(fall)[:, None]
         sigma[live] = nxt
-    if len(live):
-        res[live] = _norm(_projected_gradient(polys, owner[live], sigma[live])[0])
     return sigma, res
 
 
 def _multistart(polys: Sequence[SpikedPolynomial], tol: float, budget: int) -> list[list[CriticalPoint]]:
     """The critical points found by budget Newton starts on each landscape.
 
-    The starts are seeded from the landscape seed; all starts of all
-    landscapes run in lockstep passes of _pass_rows rows.  Converged points
-    closer than _DEDUP_RADIUS (geodesic) to one found from an earlier start
-    are merged.
+    The starts are seeded from the landscape seed, and the starts of all
+    landscapes run through one _newton stack.  Converged points closer than
+    _DEDUP_RADIUS (geodesic) to one found from an earlier start of the same
+    landscape are merged, and all found points are classified in one call.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    n = polys[0].n
     starts = np.concatenate(
-        [np.random.default_rng(poly.seed + (10_007,)).normal(size=(budget, n)) for poly in polys]
+        [np.random.default_rng(poly.seed + (10_007,)).normal(size=(budget, poly.n)) for poly in polys]
     )
     starts /= _norm(starts)[:, None]
     owner = np.repeat(np.arange(len(polys)), budget)
-    sigma = np.empty_like(starts)
-    res = np.empty(len(starts))
-    rows = _pass_rows(n)
-    for lo in range(0, len(starts), rows):
-        part = slice(lo, lo + rows)
-        sigma[part], res[part] = _newton(polys, owner[part], starts[part], tol)
-    found_by_landscape = []
-    for j, poly in enumerate(polys):
-        found: list[np.ndarray] = []
-        for point, r in zip(sigma[j * budget:(j + 1) * budget], res[j * budget:(j + 1) * budget]):
-            if r <= tol and all(
-                math.acos(float(np.clip(np.dot(prev, point), -1.0, 1.0))) >= _DEDUP_RADIUS
-                for prev in found
+    sigma, res = _newton(polys, owner, starts, tol)
+    keep: list[int] = []
+    for lo in range(0, len(starts), budget):
+        found: list[int] = []
+        for j in range(lo, lo + budget):
+            if res[j] <= tol and all(
+                math.acos(min(max(float(np.dot(sigma[k], sigma[j])), -1.0), 1.0)) >= _DEDUP_RADIUS
+                for k in found
             ):
-                found.append(point)
-        found_by_landscape.append(_critical_points(poly, np.array(found).reshape(-1, n)))
-    return found_by_landscape
+                found.append(j)
+        keep += found
+    return _critical_points(polys, owner[keep], sigma[keep])
 
 
 def find_critical_points(poly: SpikedPolynomial, budget: int = 200) -> list[CriticalPoint]:
     """All critical points of the sampled landscape, sorted by (value, position).
 
-    n = 2: every zero of the circle derivative, as the unit-modulus roots of
-    its companion polynomial, each polished by one Newton step; roots that
-    fail the modulus or residual (_RESIDUAL_TOL) check are kept and marked
-    ill_conditioned.  n >= 3: budget-limited multistart Riemannian Newton,
-    best-effort, run as one lockstep stack of all budget starts (the same
-    stack path that count_expected runs over many landscapes); starts that
-    end with a residual above _RESIDUAL_TOL are dropped, and points closer
-    than 1e-6 in geodesic distance are merged.  Antipodes are distinct
-    critical points and are never identified.  budget < 1 raises ValueError
-    at n >= 3.
+    This is the one-landscape entry to the same code that count_expected
+    runs over many landscapes.  n = 2: every zero of the circle derivative,
+    as the unit-modulus roots of its companion polynomial, each polished by
+    one Newton step; roots that fail the modulus or residual
+    (_RESIDUAL_TOL) check are kept and marked ill_conditioned.  n >= 3:
+    budget-limited multistart Riemannian Newton, best-effort, with the
+    budget starts in one refilled lockstep stack; starts that end with a
+    residual above _RESIDUAL_TOL are dropped, and points closer than 1e-6
+    in geodesic distance are merged.  Antipodes are distinct critical
+    points and are never identified.  budget < 1 raises ValueError at
+    n >= 3.
     """
     if poly.n == 2:
-        return _find_on_circle(poly)
+        return _circle_points([poly])[0]
     return _multistart([poly], _RESIDUAL_TOL, budget)[0]
 
 
 def _landscapes(params: ModelParams, n: int, trials: int, seed: int, budget: int):
     """The critical points of each landscape (seed, t), in trial order.
 
-    n >= 3: as many landscapes as fill one lockstep pass are built and
-    searched together.
+    n = 2: passes of _circle_pass landscapes, each found and classified
+    together.  n >= 3: groups of _search_group landscapes, the starts of
+    each group refilling one Newton stack.
     """
-    if n == 2:
-        for t in range(trials):
-            yield find_critical_points(build_polynomial(params, n, (seed, t)))
-        return
-    group = max(1, _pass_rows(n) // max(budget, 1))  # _multistart rejects budget < 1
-    for lo in range(0, trials, group):
-        polys = [build_polynomial(params, n, (seed, t)) for t in range(lo, min(lo + group, trials))]
-        yield from _multistart(polys, _RESIDUAL_TOL, budget)
+    step = _circle_pass(max(params.p, *params.k)) if n == 2 else _search_group(n, budget)
+    for lo in range(0, trials, step):
+        polys = [build_polynomial(params, n, (seed, t)) for t in range(lo, min(lo + step, trials))]
+        yield from _circle_points(polys) if n == 2 else _multistart(polys, _RESIDUAL_TOL, budget)
 
 
 def _window_ok(value: float, window) -> bool:
@@ -464,10 +485,12 @@ def count_expected(
     """Monte Carlo mean of the critical-point count over fresh landscapes.
 
     Landscape t is build_polynomial(params, n, (seed, t)).  n = 2 counts
-    every critical point (find_critical_points on each landscape).  n >= 3
-    runs the budgeted multistart Newton of find_critical_points, with the
-    starts of many landscapes advanced together in one lockstep stack; it
-    gives the same points as a search of each landscape alone.  n < 2, and
+    every critical point, with the circle roots of many landscapes found and
+    classified together in array passes.  n >= 3 runs the budgeted
+    multistart Newton of find_critical_points, with the starts of each
+    group of landscapes advancing in one refilled lockstep stack.  Either
+    way each landscape gets the points find_critical_points gives it alone,
+    and the memory of a count does not grow with trials.  n < 2, and
     budget < 1 at n >= 3, raise ValueError.  overlap_windows, when given,
     holds one (lo, hi) window or None per coordinate; a list of another
     length raises ValueError.
@@ -592,9 +615,11 @@ def kac_rice_eval(
 
     The rule doubles from _FIRST_NODES nodes per axis (and per piece) until
     two successive rules agree to _EPSREL on every batch, and the finer one is
-    returned; QuadratureError is raised when that needs a rule finer than the
-    node cap, or when, with no window given, the accepted rule is 0 on every
-    batch: E Crt is then at least 2 (1 for "max").  The standard error
+    returned.  With a window, gaps below 1e-12 pass as well, since a windowed
+    count can be 0; with none, E Crt is at least 2 (1 for "max"), and two
+    rules far below that agree only relatively.  QuadratureError is raised
+    when agreement needs a rule finer than the node cap, or when, with no
+    window given, the accepted rule is 0 on every batch.  The standard error
     comes from the spread of the disjoint trial batches; batches < 1, or
     fewer inner trials than batches, raise ValueError.
     """
@@ -676,6 +701,10 @@ def kac_rice_eval(
             sums += c * value_integrals(*node, xi, wi)
         return c_constant(n, r, params.p) * sums.reshape(batches, per_batch).mean(axis=1)
 
+    # a windowed count can truly be 0, so there gaps under 1e-12 pass too;
+    # without a window, agreement is relative only
+    unwindowed = value_window is None and all(w is None for w in windows)
+    floor = 0.0 if unwindowed else 1e-12
     nodes = _FIRST_NODES
     coarse = rule(nodes)
     while (2 * nodes) ** (r + 1) <= _MAX_TENSOR_NODES:
@@ -684,7 +713,7 @@ def kac_rice_eval(
         diff = np.abs(fine - coarse)
         scale = np.abs(fine)
         rel_gap = float(np.max(np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0.0)))
-        if np.all(diff <= np.maximum(_EPSREL * scale, 1e-12)):
+        if np.all(diff <= np.maximum(_EPSREL * scale, floor)):
             break
         coarse = fine
     else:
@@ -693,7 +722,7 @@ def kac_rice_eval(
         )
     # without windows every landscape has a maximum and a minimum, so a rule
     # that is 0 on every batch has missed the integrand's mass
-    if value_window is None and all(w is None for w in windows) and not np.any(fine):
+    if unwindowed and not np.any(fine):
         raise QuadratureError(f"the accepted {nodes}-node rule is 0 on every batch")
 
     value = float(np.mean(fine))

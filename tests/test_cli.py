@@ -727,6 +727,21 @@ def test_kacrice_formula_zero_on_every_batch_exit_code(tmp_path, capsys, lam):
     )
 
 
+def test_kacrice_formula_strong_spike_needs_relative_agreement(tmp_path):
+    # at lam = 1000 the 16-node rule reads 0 and the 32-node rule 5.7e-49, a
+    # 100% gap below 1e-12; the exact count is 4.0008 (+- 1e-4), so the
+    # command must exit 3 or return an estimate within 3 SE of it
+    out = tmp_path / "formula.json"
+    rc = run_cli(["experiment", "--experiment", "kacrice-formula", "--p", "3", "--r", "1",
+                  "--lam", "1000", "--n", "2", "--inner-trials", "512", "--batches", "4",
+                  "--seed", "0", "--out", str(out)])
+    if rc == 0:
+        doc = json.loads(out.read_text())
+        assert abs(doc["estimate"] - 4.0008) <= 3.0 * doc["std_error"] + 1e-4
+    else:
+        assert rc == 3 and not out.exists()
+
+
 def _stderr_of(*argv):
     """Exit code and stderr of the CLI in a fresh interpreter, where numpy's
     warnings would print."""

@@ -35,7 +35,7 @@ def test_covariance_scaling():
 def poly_value(poly, sigma):
     from pspinlab.kacrice import _value
 
-    return _value(poly, np.asarray(sigma, float))
+    return _value([poly], np.zeros(1, dtype=int), np.asarray(sigma, float)[None])[0]
 
 
 def test_build_deterministic():
@@ -215,14 +215,14 @@ def _close_pair_landscape(half_gap):
     """
     from scipy.optimize import minimize_scalar
 
-    from pspinlab.kacrice import SpikedPolynomial, _circle_derivative
+    from pspinlab.kacrice import SpikedPolynomial
 
     # the coupling is negated so that the merging strength is positive
     drawn = build_polynomial(P0, 2, (3, 0))
     base = SpikedPolynomial(P0, 2, drawn.seed, -drawn.tensor)
 
     def ratio(phi):
-        g0 = _circle_derivative(base, np.array([phi]))[0]
+        g0 = _oracle_circle_derivative(base, np.array([phi]))[0]
         return g0 / (3.0 * math.cos(phi) ** 2 * math.sin(phi))
 
     # for this coupling ratio has a local maximum near phi = 2.29
@@ -258,6 +258,84 @@ def test_close_root_pair_counted():
     # odd landscape: the antipodal pair is there as well, and the coarse
     # scan misses both pairs
     assert len(pts) == len(_scan_brackets(poly, _scan_grid(10**5))) + 4
+
+
+# ---------------------------------------------------------------------------
+# stacked circle passes against the per-landscape circle path they replaced
+
+def _oracle_circle_derivative(poly, phi):
+    """d/dphi of the landscape along the unit circle: the gradient at
+    (cos phi, sin phi) dotted with the tangent (-sin phi, cos phi)."""
+    sigma = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    tangent = np.stack([-sigma[:, 1], sigma[:, 0]], axis=1)
+    return kacrice._dot(kacrice._grad([poly], np.zeros(len(phi), dtype=int), sigma), tangent)
+
+
+def _oracle_circle(poly):
+    """One landscape alone: a 1-D FFT of the circle derivative, np.roots of
+    its series, one Newton step per unit-modulus root, and classification."""
+    degree = max(poly.params.p, *poly.params.k)
+    samples = 4 * degree + 4
+    freq = np.arange(-degree, degree + 1)
+    phi = 2.0 * math.pi * np.arange(samples) / samples
+    coef = np.fft.fft(_oracle_circle_derivative(poly, phi))[freq] / samples
+    z = np.roots(coef[::-1])
+    off = np.abs(np.abs(z) - 1.0)
+    on_circle = off <= 1e-6
+    angle = np.angle(z[on_circle])
+    waves = coef * np.exp(1j * np.outer(angle, freq))
+    angle -= waves.sum(axis=1).real / (waves @ (1j * freq)).real
+    sigma = np.array([[math.cos(a), math.sin(a)] for a in angle.tolist()]).reshape(-1, 2)
+    owner = np.zeros(len(sigma), dtype=int)
+    return kacrice._critical_points([poly], owner, sigma, off[on_circle] > 1e-10)[0]
+
+
+@pytest.mark.parametrize("params, seed, trials", [
+    (P1, 40, 300),
+    (ModelParams(p=4, r=1, k=(5,), lam=(1.5,)), 41, 120),
+    (ModelParams(p=3, r=2, k=(3, 4), lam=(1.0, 0.5)), 42, 120),
+], ids=["p3", "p4-k5", "r2-k34"])
+def test_circle_passes_match_per_landscape_oracle(monkeypatch, params, seed, trials):
+    from pspinlab.kacrice import _circle_pass, _landscapes
+
+    want = [_oracle_circle(build_polynomial(params, 2, (seed, t))) for t in range(trials)]
+    assert list(_landscapes(params, 2, trials, seed, 1)) == want
+    # a small chunk splits the same count over several passes
+    monkeypatch.setattr(kacrice, "_CHUNK", 3000)
+    assert trials > 3 * _circle_pass(max(params.p, *params.k))
+    assert list(_landscapes(params, 2, trials, seed, 1)) == want
+
+
+def test_circle_pass_keeps_np_roots_for_a_vanishing_series():
+    # the zero landscape's series is 0 at every frequency, where np.roots
+    # finds no roots; its neighbours in the pass keep their points
+    from pspinlab.kacrice import SpikedPolynomial, _circle_points
+
+    zero = SpikedPolynomial(P0, 2, (43, 1), np.zeros((2, 2, 2)))
+    assert _oracle_circle(zero) == []
+    polys = [build_polynomial(P0, 2, (43, 0)), zero, build_polynomial(P0, 2, (43, 2))]
+    assert _circle_points(polys) == [_oracle_circle(polys[0]), [], _oracle_circle(polys[2])]
+
+
+def test_circle_count_one_eigvals_call_per_pass(monkeypatch):
+    # 500 landscapes take three passes of at most _circle_pass landscapes,
+    # each with one batched eigvals, and no np.roots call
+    from pspinlab.kacrice import _circle_pass
+
+    calls = {"eigvals": 0, "roots": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np, "roots", counted("roots", np.roots))
+    est = count_expected(P1, 2, 500, seed=44)
+    assert est.extras["euler_mismatch_landscapes"] == 0
+    assert calls == {"eigvals": math.ceil(500 / _circle_pass(3)), "roots": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +669,7 @@ def test_lockstep_solve_falls_back_per_row():
 
 def test_find_critical_points_matches_count_stack():
     # one landscape searched alone against the same landscape searched in a
-    # stack of many, which count_expected splits over several passes
+    # stack of many, which count_expected refills many times
     from pspinlab.kacrice import _landscapes, _pass_rows
 
     trials, budget = 12, 40
@@ -600,6 +678,48 @@ def test_find_critical_points_matches_count_stack():
     alone = find_critical_points(build_polynomial(P1, 3, (72, 9)), budget=budget)
     assert [pt.index for pt in alone] == [pt.index for pt in stacked[9]]
     _assert_same_points(alone, [np.asarray(pt.position) for pt in stacked[9]])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_refilled_stack_matches_each_landscape_alone(monkeypatch, n):
+    # the stack holds 5 rows, fewer than one landscape's 12 starts, so rows
+    # of a landscape leave and enter it over many refills
+    from pspinlab.kacrice import _landscapes
+
+    monkeypatch.setattr(kacrice, "_CHUNK", 5 * 25 * n)
+    assert kacrice._pass_rows(n) == 5
+    seed, trials, budget = 75 + n, 6, 12
+    stacked = list(_landscapes(P1, n, trials, seed, budget))
+    assert stacked == [
+        find_critical_points(build_polynomial(P1, n, (seed, t)), budget=budget) for t in range(trials)
+    ]
+    assert sum(map(len, stacked)) > trials
+    # find_critical_points runs the same refilled stack; the per-start
+    # oracle runs no stack at all
+    for t, points in enumerate(stacked):
+        _assert_same_points(points, _oracle_search(build_polynomial(P1, n, (seed, t)), budget))
+
+
+def test_count_memory_does_not_grow_with_trials(monkeypatch):
+    # groups of 4 landscapes at n = 20 (64 KB tensors), the stack 3 rows:
+    # a count of 6 groups peaks where a count of 2 does.  Searching every
+    # landscape in one group, the 24-trial count peaked at 2.5 times the
+    # 8-trial one
+    import tracemalloc
+
+    monkeypatch.setattr(kacrice, "_CHUNK", 4 * 20 * 21)
+    assert kacrice._search_group(20, 1) == 4
+    # numpy's first calls allocate caches that later counts reuse
+    count_expected(P1, 20, 1, seed=0, budget=1)
+    peaks = []
+    for trials in (8, 24):
+        tracemalloc.start()
+        try:
+            count_expected(P1, 20, trials, seed=0, budget=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_multistart_pass_size_keeps_points(monkeypatch):
