@@ -11,8 +11,10 @@ one FFT and one batched eigvals.  For n >= 3 a budgeted multistart
 Riemannian Newton search is best-effort.  It advances one stack of starts in
 lockstep, refilled from the pending starts of a bounded group of landscapes
 as rows finish, and each row takes exactly the steps a search from that
-start alone would take.  The expected-count integral is a Gauss-Legendre
-rule, split at the kinks of |det H| and checked by refinement.
+start alone would take.  A count tallies each pass's arrays of points;
+CriticalPoints are built only for find_critical_points.  The expected-count
+integral is a Gauss-Legendre rule, split at the kinks of |det H| and
+checked by refinement.
 """
 from __future__ import annotations
 
@@ -116,6 +118,8 @@ def _contract(polys: Sequence[SpikedPolynomial], owner: np.ndarray, sigma: np.nd
     Each landscape's rows are contiguous, so each tensor enters one einsum
     per run of its rows and is never copied per row.
     """
+    if not len(owner):
+        return np.zeros((0,) + sigma.shape[1:] * free)
     p = polys[0].params.p
     sub = _subscripts(p, free)
     cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
@@ -129,8 +133,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner products over the last axis.
 
     A stack of (1, n) @ (n, 1) products gives each row the bits of np.dot on
-    that pair, as the one-point computation had them; np.linalg.norm with an
-    axis, and einsum, sum in another order.
+    that pair, which FORMULA_GOLDEN pins through kac_rice_eval's alpha =
+    _dot(m, m); np.linalg.norm with an axis, and einsum, sum in another order.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
@@ -187,9 +191,10 @@ def _tangent_hessian(polys, owner: np.ndarray, sigma: np.ndarray, radial: np.nda
     return b.transpose(0, 2, 1) @ h @ b - radial[:, None, None] * np.eye(n - 1), b
 
 
-def _critical_points(polys, owner: np.ndarray, sigma: np.ndarray, ill=None) -> list[list[CriticalPoint]]:
-    """CriticalPoints for the rows of sigma (N, n), row j on polys[owner[j]]:
-    one list per landscape of polys, each sorted by (value, position).
+def _critical_points(polys, owner: np.ndarray, sigma: np.ndarray, ill=None):
+    """One pass: the rows of sigma (N, n), row j on polys[owner[j]], classified
+    as the arrays (owner, position = sigma, value, index, residual,
+    degenerate, ill) over the rows.
 
     Every row of the call goes through one gradient, one batched QR, one
     batched eigvalsh and one value pass.  The Morse index counts
@@ -201,9 +206,6 @@ def _critical_points(polys, owner: np.ndarray, sigma: np.ndarray, ill=None) -> l
     (N,) whose roots were ill-conditioned, and rows whose gradient residual
     exceeds _RESIDUAL_TOL are flagged with them.
     """
-    found: list[list[CriticalPoint]] = [[] for _ in polys]
-    if not len(sigma):
-        return found
     g_tan, radial = _projected_gradient(polys, owner, sigma)
     ev = np.linalg.eigvalsh(_tangent_hessian(polys, owner, sigma, radial)[0])
     band = 1e-8 * np.maximum(np.max(np.abs(ev), axis=1), 1e-12)[:, None]
@@ -211,17 +213,15 @@ def _critical_points(polys, owner: np.ndarray, sigma: np.ndarray, ill=None) -> l
     index = np.sum(ev < -band, axis=1)
     residual = _norm(g_tan)
     ill = np.zeros(len(sigma), dtype=bool) if ill is None else ill | (residual > _RESIDUAL_TOL)
-    r = polys[0].params.r
-    for j, row, value, i, res, deg, bad in zip(
-        owner.tolist(),
-        sigma.tolist(),
-        _value(polys, owner, sigma).tolist(),
-        index.tolist(),
-        residual.tolist(),
-        degenerate.tolist(),
-        ill.tolist(),
-    ):
-        found[j].append(CriticalPoint(
+    return owner, sigma, _value(polys, owner, sigma), index, residual, degenerate, ill
+
+
+def _point_lists(found, landscapes: int, r: int) -> list[list[CriticalPoint]]:
+    """A pass's CriticalPoints (with r overlaps), one list for each of its
+    landscapes, each sorted by (value, position)."""
+    points: list[list[CriticalPoint]] = [[] for _ in range(landscapes)]
+    for j, row, value, i, res, deg, bad in zip(*(a.tolist() for a in found)):
+        points[j].append(CriticalPoint(
             position=tuple(row),
             value=value,
             overlaps=tuple(row[:r]),
@@ -230,9 +230,9 @@ def _critical_points(polys, owner: np.ndarray, sigma: np.ndarray, ill=None) -> l
             degenerate=deg,
             ill_conditioned=bad,
         ))
-    for points in found:
-        points.sort(key=lambda c: (c.value, c.position))
-    return found
+    for pts in points:
+        pts.sort(key=lambda c: (c.value, c.position))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +254,8 @@ def _circle_pass(degree: int) -> int:
     return max(1, _CHUNK // (4 * degree * (2 * degree + 1)))
 
 
-def _circle_points(polys: Sequence[SpikedPolynomial]) -> list[list[CriticalPoint]]:
-    """Every critical point of each landscape on the unit circle.
+def _circle_points(polys: Sequence[SpikedPolynomial]):
+    """Every critical point of each landscape on the unit circle, in one pass.
 
     On the circle the derivative is a trigonometric polynomial
     g(phi) = sum_{|j| <= D} c_j e^{i j phi} of degree D = max(p, k_i).  Its
@@ -395,8 +395,9 @@ def _newton(polys, owner: np.ndarray, sigma: np.ndarray, tol: float):
     return sigma, res
 
 
-def _multistart(polys: Sequence[SpikedPolynomial], tol: float, budget: int) -> list[list[CriticalPoint]]:
-    """The critical points found by budget Newton starts on each landscape.
+def _multistart(polys: Sequence[SpikedPolynomial], tol: float, budget: int):
+    """The critical points found by budget Newton starts on each landscape, in
+    one pass.
 
     The starts are seeded from the landscape seed, and the starts of all
     landscapes run through one _newton stack.  Converged points closer than
@@ -428,7 +429,8 @@ def find_critical_points(poly: SpikedPolynomial, budget: int = 200) -> list[Crit
     """All critical points of the sampled landscape, sorted by (value, position).
 
     This is the one-landscape entry to the same code that count_expected
-    runs over many landscapes.  n = 2: every zero of the circle derivative,
+    runs over many landscapes, and the only caller that turns a pass's
+    arrays into CriticalPoints.  n = 2: every zero of the circle derivative,
     as the unit-modulus roots of its companion polynomial, each polished by
     one Newton step; roots that fail the modulus or residual
     (_RESIDUAL_TOL) check are kept and marked ill_conditioned.  n >= 3:
@@ -439,26 +441,25 @@ def find_critical_points(poly: SpikedPolynomial, budget: int = 200) -> list[Crit
     points and are never identified.  budget < 1 raises ValueError at
     n >= 3.
     """
-    if poly.n == 2:
-        return _circle_points([poly])[0]
-    return _multistart([poly], _RESIDUAL_TOL, budget)[0]
+    found = _circle_points([poly]) if poly.n == 2 else _multistart([poly], _RESIDUAL_TOL, budget)
+    return _point_lists(found, 1, poly.params.r)[0]
 
 
 def _landscapes(params: ModelParams, n: int, trials: int, seed: int, budget: int):
-    """The critical points of each landscape (seed, t), in trial order.
+    """The critical points of the landscapes (seed, t) in trial order: each
+    pass with its number of landscapes.
 
     n = 2: passes of _circle_pass landscapes, each found and classified
     together.  n >= 3: groups of _search_group landscapes, the starts of
-    each group refilling one Newton stack.
+    each group refilling one Newton stack.  Each group is released before
+    the next is built.
     """
     step = _circle_pass(max(params.p, *params.k)) if n == 2 else _search_group(n, budget)
     for lo in range(0, trials, step):
         polys = [build_polynomial(params, n, (seed, t)) for t in range(lo, min(lo + step, trials))]
-        yield from _circle_points(polys) if n == 2 else _multistart(polys, _RESIDUAL_TOL, budget)
-
-
-def _window_ok(value: float, window) -> bool:
-    return window is None or (window[0] <= value <= window[1])
+        found = _circle_points(polys) if n == 2 else _multistart(polys, _RESIDUAL_TOL, budget)
+        yield found, len(polys)
+        del polys
 
 
 def _overlap_windows(params: ModelParams, overlap_windows: Sequence | None) -> list:
@@ -490,7 +491,8 @@ def count_expected(
     multistart Newton of find_critical_points, with the starts of each
     group of landscapes advancing in one refilled lockstep stack.  Either
     way each landscape gets the points find_critical_points gives it alone,
-    and the memory of a count does not grow with trials.  n < 2, and
+    tallied from its pass's arrays with np.bincount (no CriticalPoint is
+    built), and the memory of a count does not grow with trials.  n < 2, and
     budget < 1 at n >= 3, raise ValueError.  overlap_windows, when given,
     holds one (lo, hi) window or None per coordinate; a list of another
     length raises ValueError.
@@ -521,25 +523,22 @@ def count_expected(
     degenerate_counts = np.empty(trials)
     ill_conditioned = 0
     euler_mismatch = 0
-    for t, pts in enumerate(_landscapes(params, n, trials, seed, budget)):
-        ill_conditioned += sum(pt.ill_conditioned for pt in pts)
-        if any(pt.degenerate for pt in pts) or sum((-1) ** pt.index for pt in pts) != euler:
-            euler_mismatch += 1
-        c = 0
-        dc = 0
-        for pt in pts:
-            if not all(_window_ok(ov, win) for ov, win in zip(pt.overlaps, windows)):
-                continue
-            if not _window_ok(pt.value, value_window):
-                continue
-            if pt.degenerate:
-                dc += 1
-                if which == "total":
-                    c += 1
-            elif which == "total" or pt.index == which:
-                c += 1
-        counts[t] = c
-        degenerate_counts[t] = dc
+    t = 0
+    for found, landscapes in _landscapes(params, n, trials, seed, budget):
+        owner, position, value, index, _, degenerate, ill = found
+        inside = np.ones(len(owner), dtype=bool)
+        for x, window in zip([*position[:, :params.r].T, value], [*windows, value_window]):
+            if window is not None:
+                inside &= (window[0] <= x) & (x <= window[1])
+        chosen = inside if which == "total" else inside & ~degenerate & (index == which)
+        here = slice(t, t + landscapes)
+        counts[here] = np.bincount(owner[chosen], minlength=landscapes)
+        degenerate_counts[here] = np.bincount(owner[inside & degenerate], minlength=landscapes)
+        morse = np.bincount(owner, weights=(-1.0) ** index, minlength=landscapes)
+        flawed = np.bincount(owner, weights=degenerate, minlength=landscapes) > 0
+        euler_mismatch += int(np.count_nonzero(flawed | (morse != euler)))
+        ill_conditioned += int(np.count_nonzero(ill))
+        t += landscapes
     se = float(np.std(counts, ddof=1)) / math.sqrt(trials) if trials > 1 else math.nan
     extras = {
         "complete": n == 2,

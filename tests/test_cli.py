@@ -108,6 +108,19 @@ def test_rate_requires_sorted_gamma(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["grid", "--p", "3", "--r", "2", "--lam", "1.0,0.5", "--quantity", "sigma_tot",
+     "--axis", "0:0.5:2049", "--axis", "0:0.5:2048"],
+    ["rate", "--gamma", "2.0", "--t", "2.5", "--t-range", "2:4:4194304"],
+], ids=["grid", "rate"])
+def test_table_over_max_cells_exit_code(tmp_path, capsys, argv):
+    # one row or cell over the limit is refused before anything is built
+    out = tmp_path / "table.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert f"at most {cli._MAX_CELLS} allowed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_json(tmp_path):
     out = tmp_path / "c.json"
     rc = run_cli(

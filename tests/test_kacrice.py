@@ -287,7 +287,17 @@ def _oracle_circle(poly):
     angle -= waves.sum(axis=1).real / (waves @ (1j * freq)).real
     sigma = np.array([[math.cos(a), math.sin(a)] for a in angle.tolist()]).reshape(-1, 2)
     owner = np.zeros(len(sigma), dtype=int)
-    return kacrice._critical_points([poly], owner, sigma, off[on_circle] > 1e-10)[0]
+    found = kacrice._critical_points([poly], owner, sigma, off[on_circle] > 1e-10)
+    return kacrice._point_lists(found, 1, poly.params.r)[0]
+
+
+def _landscape_points(params, n, trials, seed, budget):
+    """Each landscape's CriticalPoints, read from the passes of _landscapes."""
+    return [
+        points
+        for found, landscapes in kacrice._landscapes(params, n, trials, seed, budget)
+        for points in kacrice._point_lists(found, landscapes, params.r)
+    ]
 
 
 @pytest.mark.parametrize("params, seed, trials", [
@@ -296,25 +306,27 @@ def _oracle_circle(poly):
     (ModelParams(p=3, r=2, k=(3, 4), lam=(1.0, 0.5)), 42, 120),
 ], ids=["p3", "p4-k5", "r2-k34"])
 def test_circle_passes_match_per_landscape_oracle(monkeypatch, params, seed, trials):
-    from pspinlab.kacrice import _circle_pass, _landscapes
+    from pspinlab.kacrice import _circle_pass
 
     want = [_oracle_circle(build_polynomial(params, 2, (seed, t))) for t in range(trials)]
-    assert list(_landscapes(params, 2, trials, seed, 1)) == want
+    assert _landscape_points(params, 2, trials, seed, 1) == want
     # a small chunk splits the same count over several passes
     monkeypatch.setattr(kacrice, "_CHUNK", 3000)
     assert trials > 3 * _circle_pass(max(params.p, *params.k))
-    assert list(_landscapes(params, 2, trials, seed, 1)) == want
+    assert _landscape_points(params, 2, trials, seed, 1) == want
 
 
 def test_circle_pass_keeps_np_roots_for_a_vanishing_series():
     # the zero landscape's series is 0 at every frequency, where np.roots
     # finds no roots; its neighbours in the pass keep their points
-    from pspinlab.kacrice import SpikedPolynomial, _circle_points
+    from pspinlab.kacrice import SpikedPolynomial, _circle_points, _point_lists
 
     zero = SpikedPolynomial(P0, 2, (43, 1), np.zeros((2, 2, 2)))
     assert _oracle_circle(zero) == []
     polys = [build_polynomial(P0, 2, (43, 0)), zero, build_polynomial(P0, 2, (43, 2))]
-    assert _circle_points(polys) == [_oracle_circle(polys[0]), [], _oracle_circle(polys[2])]
+    assert _point_lists(_circle_points(polys), 3, P0.r) == [
+        _oracle_circle(polys[0]), [], _oracle_circle(polys[2])
+    ]
 
 
 def test_circle_count_one_eigvals_call_per_pass(monkeypatch):
@@ -622,21 +634,17 @@ def _assert_same_points(points, want):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_lockstep_multistart_matches_per_start_oracle(n, lam):
-    from pspinlab.kacrice import _landscapes
-
     params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
     seed, trials, budget = 60 + n, 8, 12
-    stacked = list(_landscapes(params, n, trials, seed, budget))
+    stacked = _landscape_points(params, n, trials, seed, budget)
     assert len(stacked) == trials
     for t, points in enumerate(stacked):
         _assert_same_points(points, _oracle_search(build_polynomial(params, n, (seed, t)), budget))
 
 
 def test_lockstep_multistart_mixed_degrees():
-    from pspinlab.kacrice import _landscapes
-
     params = ModelParams(p=3, r=2, k=(3, 4), lam=(1.0, 0.5))
-    for t, points in enumerate(_landscapes(params, 3, 6, 70, 12)):
+    for t, points in enumerate(_landscape_points(params, 3, 6, 70, 12)):
         _assert_same_points(points, _oracle_search(build_polynomial(params, 3, (70, t)), 12))
 
 
@@ -644,7 +652,7 @@ def test_lockstep_newton_singular_hessian():
     # f = 0 everywhere: every Hessian is the zero matrix, so each row takes
     # the least-squares step (zero) and then the gradient fallback; with a
     # negative tolerance no row ever stops early
-    from pspinlab.kacrice import SpikedPolynomial, _multistart, _newton
+    from pspinlab.kacrice import SpikedPolynomial, _multistart, _newton, _point_lists
 
     poly = SpikedPolynomial(P0, 3, (71, 0), np.zeros((3, 3, 3)))
     starts = np.array(_oracle_starts(poly, 3))
@@ -653,7 +661,7 @@ def test_lockstep_newton_singular_hessian():
         want, want_res = _oracle_newton(poly, start, -1.0)
         assert np.max(np.abs(row - want)) <= 1e-12
         assert r == want_res == 0.0
-    assert _multistart([poly], -1.0, 3) == [[]]
+    assert _point_lists(_multistart([poly], -1.0, 3), 1, P0.r) == [[]]
 
 
 def test_lockstep_solve_falls_back_per_row():
@@ -670,11 +678,11 @@ def test_lockstep_solve_falls_back_per_row():
 def test_find_critical_points_matches_count_stack():
     # one landscape searched alone against the same landscape searched in a
     # stack of many, which count_expected refills many times
-    from pspinlab.kacrice import _landscapes, _pass_rows
+    from pspinlab.kacrice import _pass_rows
 
     trials, budget = 12, 40
     assert trials * budget > _pass_rows(3)
-    stacked = list(_landscapes(P1, 3, trials, 72, budget))
+    stacked = _landscape_points(P1, 3, trials, 72, budget)
     alone = find_critical_points(build_polynomial(P1, 3, (72, 9)), budget=budget)
     assert [pt.index for pt in alone] == [pt.index for pt in stacked[9]]
     _assert_same_points(alone, [np.asarray(pt.position) for pt in stacked[9]])
@@ -684,12 +692,10 @@ def test_find_critical_points_matches_count_stack():
 def test_refilled_stack_matches_each_landscape_alone(monkeypatch, n):
     # the stack holds 5 rows, fewer than one landscape's 12 starts, so rows
     # of a landscape leave and enter it over many refills
-    from pspinlab.kacrice import _landscapes
-
     monkeypatch.setattr(kacrice, "_CHUNK", 5 * 25 * n)
     assert kacrice._pass_rows(n) == 5
     seed, trials, budget = 75 + n, 6, 12
-    stacked = list(_landscapes(P1, n, trials, seed, budget))
+    stacked = _landscape_points(P1, n, trials, seed, budget)
     assert stacked == [
         find_critical_points(build_polynomial(P1, n, (seed, t)), budget=budget) for t in range(trials)
     ]
@@ -700,26 +706,111 @@ def test_refilled_stack_matches_each_landscape_alone(monkeypatch, n):
         _assert_same_points(points, _oracle_search(build_polynomial(P1, n, (seed, t)), budget))
 
 
+def _count_peaks(params, trial_counts):
+    """tracemalloc's peak over count_expected(params, 20, trials, budget=1)
+    for each of trial_counts."""
+    import tracemalloc
+
+    # numpy's first calls allocate caches that later counts reuse
+    count_expected(params, 20, 1, seed=0, budget=1)
+    peaks = []
+    for trials in trial_counts:
+        tracemalloc.start()
+        try:
+            count_expected(params, 20, trials, seed=0, budget=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_count_memory_does_not_grow_with_trials(monkeypatch):
     # groups of 4 landscapes at n = 20 (64 KB tensors), the stack 3 rows:
     # a count of 6 groups peaks where a count of 2 does.  Searching every
     # landscape in one group, the 24-trial count peaked at 2.5 times the
     # 8-trial one
-    import tracemalloc
-
     monkeypatch.setattr(kacrice, "_CHUNK", 4 * 20 * 21)
     assert kacrice._search_group(20, 1) == 4
-    # numpy's first calls allocate caches that later counts reuse
-    count_expected(P1, 20, 1, seed=0, budget=1)
-    peaks = []
-    for trials in (8, 24):
-        tracemalloc.start()
-        try:
-            count_expected(P1, 20, trials, seed=0, budget=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = _count_peaks(P1, (8, 24))
     assert peaks[1] < 1.2 * peaks[0]
+
+
+def test_count_holds_one_group_of_tensors():
+    # groups of 39 landscapes at n = 20: 40 trials hold one group and then
+    # one landscape, 160 trials four groups and then four landscapes.  Built
+    # while the previous group was still alive, the 160-trial count peaked
+    # at 1.5 times the 40-trial one
+    assert kacrice._search_group(20, 1) == 39
+    peaks = _count_peaks(P0, (40, 160))
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_count_builds_no_critical_point_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_expected built a CriticalPoint")
+
+    monkeypatch.setattr(kacrice, "CriticalPoint", refuse)
+    assert count_expected(P1, 2, 40, seed=76).value > 0
+    assert count_expected(P1, 3, 4, seed=76, budget=10).value > 0
+
+
+def _tally_oracle(params, n, trials, seed, overlap_windows, value_window, which, budget):
+    """count_expected's value, std_error and extras as a per-point tally over
+    find_critical_points of each landscape."""
+    def window_ok(x, window):
+        return window is None or (window[0] <= x <= window[1])
+
+    windows = overlap_windows or [None] * params.r
+    if which == "max":
+        which = n - 1
+    euler = 1 + (-1) ** (n - 1)
+    counts, degenerate_counts = np.empty(trials), np.empty(trials)
+    ill_conditioned = euler_mismatch = 0
+    for t in range(trials):
+        pts = find_critical_points(build_polynomial(params, n, (seed, t)), budget=budget)
+        ill_conditioned += sum(pt.ill_conditioned for pt in pts)
+        if any(pt.degenerate for pt in pts) or sum((-1) ** pt.index for pt in pts) != euler:
+            euler_mismatch += 1
+        c = dc = 0
+        for pt in pts:
+            if not all(window_ok(ov, win) for ov, win in zip(pt.overlaps, windows)):
+                continue
+            if not window_ok(pt.value, value_window):
+                continue
+            if pt.degenerate:
+                dc += 1
+                if which == "total":
+                    c += 1
+            elif which == "total" or pt.index == which:
+                c += 1
+        counts[t] = c
+        degenerate_counts[t] = dc
+    extras = {
+        "complete": n == 2,
+        "mean_degenerate": float(np.mean(degenerate_counts)),
+        "ill_conditioned_roots": ill_conditioned,
+        "euler_mismatch_landscapes": euler_mismatch,
+    }
+    return float(np.mean(counts)), float(np.std(counts, ddof=1)) / math.sqrt(trials), extras
+
+
+R2 = ModelParams(p=3, r=2, k=(3, 4), lam=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("params, n, trials, budget, windows, value_window, which", [
+    (R2, 2, 150, 200, [(0.0, 0.9), None], (-0.6, 0.8), "total"),
+    (R2, 2, 150, 200, [(0.0, 0.9), None], (-0.6, 0.8), 0),
+    (R2, 2, 150, 200, [(0.0, 0.9), None], (-0.6, 0.8), "max"),
+    (P1, 3, 10, 20, None, None, 1),
+], ids=["n2-total", "n2-index0", "n2-max", "n3-index1"])
+def test_count_matches_per_point_tally(params, n, trials, budget, windows, value_window, which):
+    est = count_expected(params, n, trials, seed=77, overlap_windows=windows,
+                         value_window=value_window, which=which, budget=budget)
+    value, std_error, extras = _tally_oracle(params, n, trials, 77, windows, value_window, which, budget)
+    assert est.value == value
+    assert est.std_error == std_error
+    assert est.extras == extras
+    assert [type(v) for v in est.extras.values()] == [type(v) for v in extras.values()]
 
 
 def test_multistart_pass_size_keeps_points(monkeypatch):
@@ -757,13 +848,19 @@ def test_count_keeps_degenerate_points_out_of_index_counts(monkeypatch):
     # no circle landscape makes a degenerate point (its one tangent
     # eigenvalue is inside its own zero band only when exactly 0), so
     # hand-built points stand in; the second landscape's Morse sum is 0, and
-    # only its degenerate point breaks the relation
-    def point(index, degenerate=False):
-        return kacrice.CriticalPoint(position=(0.6, 0.8), value=0.0, overlaps=(0.6,),
-                                     index=index, residual=0.0, degenerate=degenerate)
-
-    landscapes = [[point(0), point(1)], [point(0), point(1), point(0, True), point(1)]]
-    monkeypatch.setattr(kacrice, "_landscapes", lambda *args: iter(landscapes))
+    # only its degenerate point breaks the relation.  Both landscapes come
+    # as one pass of arrays, all points at (0.6, 0.8) with value 0
+    rows = 6
+    found = (
+        np.array([0, 0, 1, 1, 1, 1]),
+        np.tile([0.6, 0.8], (rows, 1)),
+        np.zeros(rows),
+        np.array([0, 1, 0, 1, 0, 1]),
+        np.zeros(rows),
+        np.array([False, False, False, False, True, False]),
+        np.zeros(rows, dtype=bool),
+    )
+    monkeypatch.setattr(kacrice, "_landscapes", lambda *args: iter([(found, 2)]))
     for which, value in (("total", 3.0), (0, 1.0), ("max", 1.5)):
         est = count_expected(P1, 2, 2, which=which)
         assert est.value == value, which
