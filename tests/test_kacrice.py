@@ -825,6 +825,45 @@ def test_multistart_pass_size_keeps_points(monkeypatch):
     _assert_same_points(split, [np.asarray(pt.position) for pt in whole])
 
 
+# float.hex() of value and std_error, and the extras, of count_expected at
+# seed 80 and budget 20: the n >= 3 search has no artifact digest, so these
+# pin the bits of its lockstep Newton, its dedup and its classification
+COUNT_GOLDEN = {
+    "p3-n3": (P1, 3, 12, ("0x1.c000000000000p+2", "0x1.ec39616055455p-1"), 11),
+    "p3-n4": (P1, 4, 6, ("0x1.3000000000000p+3", "0x1.4220532e48a3dp+0"), 3),
+    "r2-k34-n3": (R2, 3, 6, ("0x1.c000000000000p+2", "0x1.5775c544ff264p+0"), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_GOLDEN))
+def test_count_matches_recorded_bits(case):
+    params, n, trials, want, mismatch = COUNT_GOLDEN[case]
+    est = count_expected(params, n, trials, seed=80, budget=20)
+    assert (est.value.hex(), est.std_error.hex()) == want
+    assert est.extras == {
+        "complete": False,
+        "mean_degenerate": 0.0,
+        "ill_conditioned_roots": 0,
+        "euler_mismatch_landscapes": mismatch,
+    }
+
+
+def test_search_points_match_recorded_digest():
+    # sha256 over the float.hex() of every position and value found on four
+    # landscapes (81, t) each at n = 3 and n = 4, budget 25
+    import hashlib
+
+    digest = hashlib.sha256()
+    found = 0
+    for n in (3, 4):
+        for t in range(4):
+            for pt in find_critical_points(build_polynomial(P1, n, (81, t)), budget=25):
+                digest.update(" ".join(v.hex() for v in (*pt.position, pt.value)).encode() + b"\n")
+                found += 1
+    assert found == 76
+    assert digest.hexdigest() == "0719610520e6251b17303bd35855626b686d3f4d0aa5371e6f5bc42d864fe983"
+
+
 def test_count_rejects_empty_budget():
     for budget in (0, -3):
         with pytest.raises(ValueError):
