@@ -272,7 +272,10 @@ def _conv_axis(v) -> tuple[float, float, int]:
 
 def _conv_fix(v) -> tuple[int, float]:
     idx, _, val = str(v).partition(":")
-    return int(idx), _float(val)
+    x = _float(val)
+    if not -1.0 <= x <= 1.0:
+        raise UsageError(f"--fix value must lie in [-1, 1], got {x}")
+    return int(idx), x
 
 
 def _conv_window(v) -> tuple[float, float]:
@@ -337,7 +340,10 @@ def cmd_grid(res: Resolver) -> int:
     axes = res.get_list("axis", _conv_axis)
     if axes is None:
         raise UsageError("missing required option --axis")
-    fixed = dict(res.get_list("fix", _conv_fix, default=[]))
+    fixes = res.get_list("fix", _conv_fix, default=[])
+    fixed = dict(fixes)
+    if len(fixed) < len(fixes):
+        raise UsageError(f"--fix repeats an index: {[i for i, _ in fixes]}")
     if any(not 0 <= i < params.r for i in fixed):
         raise UsageError(f"--fix index must lie in [0, {params.r - 1}]")
     swept = [i for i in range(params.r) if i not in fixed]

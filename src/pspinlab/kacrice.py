@@ -4,8 +4,11 @@ the exact expected-count integral.
 
 The random part is a symmetrized Gaussian p-tensor scaled so that the field
 has covariance <sigma, sigma'>^p / (2n) on the unit sphere of R^n; spikes sit
-on the first r coordinate axes.  At n = 2 the critical points are the zeros
-of a trigonometric polynomial, found exactly as the unit-circle roots of its
+on the first r coordinate axes.  Every evaluation of a landscape, its
+values, gradients or Hessians on a stack of points, goes through one body,
+_derivative; a landscape whose gradient leaves the float range is refused
+with ValueError.  At n = 2 the critical points are the zeros of a
+trigonometric polynomial, found exactly as the unit-circle roots of its
 companion matrix; a count takes its landscapes in array passes, each with
 one FFT and one batched eigvals.  For n >= 3 a budgeted multistart
 Riemannian Newton search is best-effort.  It advances one stack of starts in
@@ -27,12 +30,13 @@ import numpy as np
 
 from . import _LAZY
 from .core import ModelParams, _libm, s_func, t_func
-from .rmt import GOESpec, MCEstimate, _draws
+from .rmt import GOESpec, MCEstimate, _dot, _draws
 from .spikes import perturbation_factors
 
 __all__ = [name for name, home in _LAZY.items() if home == "kacrice"]
 
 _LETTERS = "abcdefgh"
+_OVERFLOW = "the landscape's gradient leaves the float range"
 # Doubles in the largest array of one pass (of the Gauss rule over draws,
 # value nodes and eigenvalues; of the Newton stack over starts and step
 # sizes); passes this small keep numpy's temporaries out of fresh
@@ -99,76 +103,57 @@ class CriticalPoint:
 # ---------------------------------------------------------------------------
 # evaluation on stacks of points
 
-def _subscripts(p: int, free: int) -> str:
-    """einsum subscripts contracting the last p - free axes of a p-tensor
-    against points (..., n), leaving the shape (...,) + (n,) * free."""
-    return (
-        _LETTERS[:p]
-        + ","
-        + ",".join("..." + c for c in _LETTERS[free:p])
-        + "->..."
-        + _LETTERS[:free]
-    )
-
-
-def _contract(polys: Sequence[SpikedPolynomial], owner: np.ndarray, sigma: np.ndarray, free: int):
-    """Row j of sigma (N, n) contracted into the last p - free axes of the
-    tensor of its landscape polys[owner[j]]: shape (N,) + (n,) * free.
+def _derivative(polys, owner: np.ndarray, sigma: np.ndarray, order: int) -> np.ndarray:
+    """The order-th derivatives at the rows of sigma (N, n), row j on
+    polys[owner[j]]: values (N,) at order 0, Euclidean gradients (N, n) at
+    1 and Hessians (N, n, n) at 2.
 
     Each landscape's rows are contiguous, so each tensor enters one einsum
-    per run of its rows and is never copied per row.
+    per run of its rows and is never copied per row; its contraction is
+    scaled by perm(p, order).  Spike i with lam_i != 0 adds
+    lam_i k_i ... (k_i - order + 1) sigma_i^(k_i - order) on axis i, the
+    power through libm and the coefficient multiplied left to right.
     """
     if not len(owner):
-        return np.zeros((0,) + sigma.shape[1:] * free)
-    p = polys[0].params.p
-    sub = _subscripts(p, free)
+        return np.zeros((0,) + sigma.shape[1:] * order)
+    params = polys[0].params
+    p = params.p
+    # contract the last p - order axes, leaving (...,) + (n,) * order
+    points = ",".join("..." + c for c in _LETTERS[order:p])
+    sub = f"{_LETTERS[:p]},{points}->...{_LETTERS[:order]}"
     cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-    return np.concatenate([
-        np.einsum(sub, polys[owner[a]].tensor, *([sigma[a:b]] * (p - free)))
+    d = math.perm(p, order) * np.concatenate([
+        np.einsum(sub, polys[owner[a]].tensor, *([sigma[a:b]] * (p - order)))
         for a, b in zip([0, *cuts], [*cuts, len(owner)])
     ])
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise inner products over the last axis.
-
-    A stack of (1, n) @ (n, 1) products gives each row the bits of np.dot on
-    that pair, which FORMULA_GOLDEN pins through kac_rice_eval's alpha =
-    _dot(m, m); np.linalg.norm with an axis, and einsum, sum in another order.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    for i, (lam_i, k_i) in enumerate(zip(params.lam, params.k)):
+        if lam_i:
+            # lam_i * k_i * (k_i - 1) * ..., rounded after each factor
+            coef = math.prod(range(k_i, k_i - order, -1), start=lam_i)
+            d[(slice(None),) + (i,) * order] += coef * _libm(pow, sigma[:, i], k_i - order)
+    return d
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _value(polys, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """The landscape values (N,) at the rows of sigma (N, n), row j on
-    polys[owner[j]]."""
-    params = polys[0].params
-    v = _contract(polys, owner, sigma, 0)
-    for i, (lam_i, k_i) in enumerate(zip(params.lam, params.k)):
-        v = v + lam_i * _libm(pow, sigma[:, i], k_i)
-    return v
-
-
-def _grad(polys, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Euclidean gradients (N, n) at the rows of sigma."""
-    params = polys[0].params
-    g = params.p * _contract(polys, owner, sigma, 1)
-    for i, (lam_i, k_i) in enumerate(zip(params.lam, params.k)):
-        if lam_i:
-            g[:, i] += lam_i * k_i * _libm(pow, sigma[:, i], k_i - 1)
-    return g
-
-
 def _projected_gradient(polys, owner: np.ndarray, sigma: np.ndarray):
     """Tangent projections (N, n) of the gradients at the rows of sigma
-    (N, n), row j on polys[owner[j]], and their radial parts (N,)."""
-    g = _grad(polys, owner, sigma)
-    radial = _dot(sigma, g)
-    return g - radial[:, None] * sigma, radial
+    (N, n), row j on polys[owner[j]], their radial parts (N,) and their
+    norms (N,), the residuals.  A residual that leaves the float range (a
+    spike of about 1e154 or more) raises ValueError: as inf it would pass
+    no tolerance, and no point would count.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _derivative(polys, owner, sigma, 1)
+        radial = _dot(sigma, g)
+        g_tan = g - radial[:, None] * sigma
+        residual = _norm(g_tan)
+    # NaN fails the comparison too
+    if not np.all(residual < math.inf):
+        raise ValueError(_OVERFLOW)
+    return g_tan, radial, residual
 
 
 def _tangent_hessian(polys, owner: np.ndarray, sigma: np.ndarray, radial: np.ndarray):
@@ -179,13 +164,8 @@ def _tangent_hessian(polys, owner: np.ndarray, sigma: np.ndarray, radial: np.nda
     memory layout, and this layout keeps each row's products bit-equal to
     the one-point computation.
     """
-    params = polys[0].params
-    p = params.p
     count, n = sigma.shape
-    h = p * (p - 1) * _contract(polys, owner, sigma, 2)
-    for i, (lam_i, k_i) in enumerate(zip(params.lam, params.k)):
-        if lam_i:
-            h[:, i, i] += lam_i * k_i * (k_i - 1) * _libm(pow, sigma[:, i], k_i - 2)
+    h = _derivative(polys, owner, sigma, 2)
     frame = np.concatenate([sigma[:, :, None], np.broadcast_to(np.eye(n), (count, n, n))], axis=2)
     b = np.linalg.qr(frame)[0][:, :, 1:]
     return b.transpose(0, 2, 1) @ h @ b - radial[:, None, None] * np.eye(n - 1), b
@@ -206,14 +186,13 @@ def _critical_points(polys, owner: np.ndarray, sigma: np.ndarray, ill=None):
     (N,) whose roots were ill-conditioned, and rows whose gradient residual
     exceeds _RESIDUAL_TOL are flagged with them.
     """
-    g_tan, radial = _projected_gradient(polys, owner, sigma)
+    _, radial, residual = _projected_gradient(polys, owner, sigma)
     ev = np.linalg.eigvalsh(_tangent_hessian(polys, owner, sigma, radial)[0])
     band = 1e-8 * np.maximum(np.max(np.abs(ev), axis=1), 1e-12)[:, None]
     degenerate = np.any(np.abs(ev) <= band, axis=1)
     index = np.sum(ev < -band, axis=1)
-    residual = _norm(g_tan)
     ill = np.zeros(len(sigma), dtype=bool) if ill is None else ill | (residual > _RESIDUAL_TOL)
-    return owner, sigma, _value(polys, owner, sigma), index, residual, degenerate, ill
+    return owner, sigma, _derivative(polys, owner, sigma, 0), index, residual, degenerate, ill
 
 
 def _point_lists(found, landscapes: int, r: int) -> list[list[CriticalPoint]]:
@@ -276,8 +255,13 @@ def _circle_points(polys: Sequence[SpikedPolynomial]):
     tangent = np.stack([-circle[:, 1], circle[:, 0]], axis=1)
     count = len(polys)
     at = np.tile(circle, (count, 1))
-    slope = _dot(_grad(polys, np.repeat(np.arange(count), samples), at), np.tile(tangent, (count, 1)))
-    coef = np.fft.fft(slope.reshape(count, samples), axis=1)[:, freq] / samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = _derivative(polys, np.repeat(np.arange(count), samples), at, 1)
+        slope = _dot(grad, np.tile(tangent, (count, 1)))
+        coef = np.fft.fft(slope.reshape(count, samples), axis=1)[:, freq] / samples
+    # a spike of about 3e307 or more overflows the series
+    if not np.all(np.isfinite(coef)):
+        raise ValueError(_OVERFLOW)
     # descending powers of z^D g, as np.roots takes them
     desc = coef[:, ::-1]
     full = (desc[:, 0] != 0) & (desc[:, -1] != 0)
@@ -363,8 +347,7 @@ def _newton(polys, owner: np.ndarray, sigma: np.ndarray, tol: float):
         live = np.concatenate([live, fresh])
         age = np.concatenate([age, np.zeros_like(fresh)])
         own, at = owner[live], sigma[live]
-        g_tan, radial = _projected_gradient(polys, own, at)
-        r = _norm(g_tan)
+        g_tan, radial, r = _projected_gradient(polys, own, at)
         done = (r <= tol) | (age == _NEWTON_ITERATIONS)
         res[live[done]] = r[done]
         go = ~done
@@ -382,7 +365,7 @@ def _newton(polys, owner: np.ndarray, sigma: np.ndarray, tol: float):
         move = (b @ delta[:, :, None])[:, :, 0]
         cand = at[:, None, :] + steps[:, None] * move[:, None, :]
         cand /= _norm(cand)[:, :, None]
-        cand_res = _norm(_projected_gradient(polys, np.repeat(own, _HALVINGS), cand.reshape(-1, n))[0])
+        cand_res = _projected_gradient(polys, np.repeat(own, _HALVINGS), cand.reshape(-1, n))[2]
         better = cand_res.reshape(len(live), _HALVINGS) < r[:, None]
         first = np.argmax(better, axis=1)
         rows = np.arange(len(live))

@@ -5,10 +5,12 @@ diagonal variance 2/n, so the empirical spectrum converges to the semicircle
 on [-2, 2] and a spike gamma > 1 detaches an eigenvalue near gamma + 1/gamma.
 
 Determinism contract: every trial draws from its own RNG stream keyed by
-(seed, trial index) and reductions run in trial order, so results are bitwise
-identical across runs.  The estimators draw every trial into one buffer,
-allocated once per call and overwritten by the next draw (see _draws); the
-streams and the bits of each matrix are those of a fresh array per trial.
+(seed, trial index) and reductions run in trial order, with no Python loop:
+row dots keep np.dot's bits through _dot, which kacrice shares, and ordered
+sums are np.cumsum.  So results are bitwise identical across runs.  The
+estimators draw every trial into one buffer, allocated once per call and
+overwritten by the next draw (see _draws); the streams and the bits of each
+matrix are those of a fresh array per trial.
 """
 from __future__ import annotations
 
@@ -51,6 +53,17 @@ class MCEstimate:
     value: float
     std_error: float
     extras: dict
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products over the last axis.
+
+    A stack of (1, n) @ (n, 1) products gives each row the bits of np.dot on
+    that pair, which EXPERIMENT_GOLDEN pins through spherical's exponents
+    and FORMULA_GOLDEN through kac_rice_eval's alpha = _dot(m, m);
+    np.linalg.norm with an axis, and einsum, sum in another order.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _draws(spec: GOESpec, trials: Iterable[int]) -> Iterator[np.ndarray]:
@@ -233,7 +246,8 @@ def _w1_to_semicircle(ev: np.ndarray) -> float:
     Each block [i/n, (i+1)/n] is split where the semicircle quantile crosses
     the i-th eigenvalue, and both halves integrate in closed form.  The
     quantiles of all 3n block ends and split points are found in one array
-    bisection; the blocks are summed in order.
+    bisection; the blocks are summed in order by np.cumsum, the order of a
+    Python loop over them.
     """
     ev = np.sort(np.asarray(ev, dtype=float))
     n = len(ev)
@@ -247,10 +261,7 @@ def _w1_to_semicircle(ev: np.ndarray) -> float:
     ma, mb, mc = _semicircle_partial_mean(np.stack([xa, xb, xc]))
     left = ev * (qc - a) - (mc - ma)
     right = (mb - mc) - ev * (b - qc)
-    total = 0.0
-    for v in (left + right).tolist():
-        total += v
-    return total
+    return float(np.cumsum(left + right)[-1])
 
 
 def _tent_semicircle_integral(c: np.ndarray, w: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -321,8 +332,8 @@ def spherical_integral_mc(
         raise ValueError("frame rank exceeds dimension")
 
     # each trial draws from its own stream; a chunk of trials shares one
-    # stacked QR, sign fix and weighting, while the exponent stays a dot per
-    # trial (a matrix product sums the r terms in another order at r >= 2)
+    # stacked QR, sign fix and weighting, and its exponents are stacked row
+    # dots (a plain matrix product sums the r terms in another order at r >= 2)
     exps = np.empty(trials)
     chunk = max(1, _FRAME_ENTRIES // max(n * r, 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,9 +342,7 @@ def spherical_integral_mc(
             z = np.stack([np.random.default_rng((seed, t)).normal(size=(n, r)) for t in ts])
             q, rm = np.linalg.qr(z)
             q = q * np.sign(np.diagonal(rm, axis1=1, axis2=2))[:, None, :]
-            quad = np.einsum("j,tji->ti", d, q * q)
-            for i, t in enumerate(ts):
-                exps[t] = 0.5 * n * np.dot(gam, quad[i])
+            exps[lo : lo + chunk] = 0.5 * n * _dot(gam, np.einsum("j,tji->ti", d, q * q))
     # -inf is a weight of 0; NaN fails the comparison too
     if not np.all(exps < math.inf):
         raise ValueError("the spherical integral's exponent leaves the float range")

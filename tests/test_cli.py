@@ -773,6 +773,17 @@ def test_spherical_overflowing_exponent_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_kacrice_count_overflowing_landscape_exit_code(tmp_path):
+    # the squared gradient norm overflows at lam = 1e300: the count read 0
+    # after a numpy overflow warning
+    out = tmp_path / "count.json"
+    rc, err = _stderr_of("experiment", "--experiment", "kacrice-count", "--p", "3", "--r", "1",
+                         "--lam", "1e300", "--n", "3", "--trials", "2", "--budget", "3",
+                         "--seed", "0", "--out", str(out))
+    assert (rc, err) == (2, "usage error: the landscape's gradient leaves the float range\n")
+    assert not out.exists()
+
+
 def test_esd_huge_spike_writes_no_warning(tmp_path):
     out = tmp_path / "esd.json"
     rc, err = _stderr_of("experiment", "--experiment", "esd", "--n", "3", "--gamma", "1e308",
@@ -891,6 +902,44 @@ def test_bad_range_and_value_exit_code(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert sum("error: " in line for line in err.splitlines()) == 1
+
+
+_GRID2 = ("grid", "--p", "3", "--r", "2", "--lam", "2,1.5", "--quantity", "sigma_tot")
+_WINDOWED = ("experiment", *_COUNT, "--trials", "2", "--seed", "0")
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (("rate", "--gamma", "1.5"), "", 2, "usage error: need --t or --t-range\n"),
+    (("experiment", "--experiment", "mc-nope", "--seed", "0"), "", 2,
+     f"usage error: experiment must be one of {cli.EXPERIMENTS}\n"),
+    ((*_WINDOWED, "--value-window", "0:1:2"), "", 2, "usage error: window must be LO:HI, got '0:1:2'\n"),
+    ((*_WINDOWED, "--overlap-window", "0.5"), "", 2, "usage error: window must be LO:HI, got '0.5'\n"),
+    ((*_WINDOWED, "--value-window", "1:-1"), "", 2, "usage error: window must have LO <= HI\n"),
+    ((*_WINDOWED, "--overlap-window", "0.9:0.1"), "", 2, "usage error: window must have LO <= HI\n"),
+    (("classify", "--m", "0.5"), "p 3\n", 2, "usage error: config line is not KEY=VALUE: 'p 3'\n"),
+    (_GRID2, "", 2, "usage error: missing required option --axis\n"),
+    ((*_GRID2, "--axis", "0:0.5:3"), "", 2,
+     "usage error: need one --axis per swept coordinate (2), got 1\n"),
+    # the last of two values for one index used to win, and a value off
+    # [-1, 1] tabulated a column of -inf
+    ((*_GRID2, "--axis", "0:0.5:3", "--fix", "1:0.2", "--fix", "1:0.3"), "", 2,
+     "usage error: --fix repeats an index: [1, 1]\n"),
+    ((*_GRID2, "--axis", "0:0.5:3", "--fix", "1:5"), "", 2,
+     "usage error: --fix value must lie in [-1, 1], got 5.0\n"),
+    # an empty support pattern pins every overlap to zero, where no profile
+    # solves the zero conditions
+    (("zeros", "--p", "3", "--r", "1", "--lam", "2", "--pattern", ""), "", 0, ""),
+], ids=["rate-no-t", "experiment-unknown", "value-window-parts", "overlap-window-parts",
+        "value-window-order", "overlap-window-order", "config-no-equals", "grid-no-axis",
+        "grid-too-few-axes", "grid-fix-repeated", "grid-fix-out-of-range", "zeros-empty-pattern"])
+def test_refusal_exit_code_and_message(tmp_path, capsys, argv, config, code, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert run_cli([*argv, "--config", str(cfg)]) == code
+    out, err = capsys.readouterr()
+    assert err == message
+    if code == 0:
+        assert json.loads(out)["solutions"] == []
 
 
 def test_grid_overflow_exit_code():

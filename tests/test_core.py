@@ -1,4 +1,5 @@
-"""Closed-form layer: frozen-value checks and structural properties."""
+"""Closed-form layer: frozen-value checks and structural properties, and the
+inputs every library entry point refuses."""
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pspinlab import (
+    GOESpec,
     ModelParams,
     RegimeLabel,
     appendix_diagnostics,
@@ -21,7 +23,12 @@ from pspinlab import (
     g_ab,
     i_gamma,
     i_max,
+    j_coupling,
+    kac_rice_eval,
     lambda_critical,
+    mc_lambda_max_tail,
+    mc_log_abs_det,
+    mc_restricted_det,
     perturbation_factors,
     phi_star,
     s_func,
@@ -29,6 +36,7 @@ from pspinlab import (
     sigma_max_projected,
     sigma_tot_joint,
     sigma_tot_projected,
+    spherical_integral_mc,
     spike_eigenvalues,
     t_func,
     tau_critical,
@@ -647,3 +655,38 @@ def test_domain_errors():
         f_ab(0.5, 0.9, 0.1)
     with pytest.raises(ValueError):
         s_func(P31, [0.1, 0.2], 0.0)
+
+
+_TRIALS = "trials must be >= 1"
+# (call, message) for inputs each library entry refuses
+REFUSALS = {
+    "kac-rice-which": (lambda: kac_rice_eval(P31, 2, which=1), 'which must be "total" or "max"'),
+    "goe-spikes": (lambda: GOESpec(n=1, gamma=(1.0, 1.0)), "more spikes than matrix dimensions"),
+    "spherical-rank": (lambda: spherical_integral_mc(2, [0.5] * 3, [1.0, 2.0], 3),
+                       "frame rank exceeds dimension"),
+    "log-abs-det-trials": (lambda: mc_log_abs_det(GOESpec(n=3), 0), _TRIALS),
+    "restricted-trials": (lambda: mc_restricted_det(GOESpec(n=3), 0), _TRIALS),
+    "lambda-max-trials": (lambda: mc_lambda_max_tail(GOESpec(n=3), 0, 1.0), _TRIALS),
+    "spherical-trials": (lambda: spherical_integral_mc(3, [0.5], [1.0, 2.0, 3.0], 0), _TRIALS),
+    "params-rank": (lambda: ModelParams(p=3, r=0, k=(), lam=()), "r must be >= 1"),
+    "i-gamma": (lambda: i_gamma(0.5, 3.0), "i_gamma requires gamma >= 1"),
+    "j-coupling-gamma": (lambda: j_coupling(0.0, 3.0), "gamma must be positive"),
+    "j-coupling-x": (lambda: j_coupling(1.0, 1.9), "x must be >= 2"),
+    "g-ab-b": (lambda: g_ab(0.5, 0.9, 0.1), "b must be >= 1"),
+    "f-ab-a": (lambda: f_ab(1.0, 2.0, 0.1), r"a must be in \(0, 1\)"),
+    "appendix-a": (lambda: appendix_diagnostics(0.0, 2.0), r"a must be in \(0, 1\)"),
+    "appendix-b": (lambda: appendix_diagnostics(0.5, 0.5), "b must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_library_refuses_inputs_it_cannot_take(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_one_trial_log_abs_det_has_no_error_bar():
+    est = mc_log_abs_det(GOESpec(n=3), 1)
+    assert math.isfinite(est.value)
+    assert math.isnan(est.std_error)

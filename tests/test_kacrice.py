@@ -33,9 +33,9 @@ def test_covariance_scaling():
 
 
 def poly_value(poly, sigma):
-    from pspinlab.kacrice import _value
+    from pspinlab.kacrice import _derivative
 
-    return _value([poly], np.zeros(1, dtype=int), np.asarray(sigma, float)[None])[0]
+    return _derivative([poly], np.zeros(1, dtype=int), np.asarray(sigma, float)[None], 0)[0]
 
 
 def test_build_deterministic():
@@ -268,7 +268,7 @@ def _oracle_circle_derivative(poly, phi):
     (cos phi, sin phi) dotted with the tangent (-sin phi, cos phi)."""
     sigma = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     tangent = np.stack([-sigma[:, 1], sigma[:, 0]], axis=1)
-    return kacrice._dot(kacrice._grad([poly], np.zeros(len(phi), dtype=int), sigma), tangent)
+    return kacrice._dot(kacrice._derivative([poly], np.zeros(len(phi), dtype=int), sigma, 1), tangent)
 
 
 def _oracle_circle(poly):
@@ -870,6 +870,20 @@ def test_count_rejects_empty_budget():
             count_expected(P0, 3, 2, seed=1, budget=budget)
         with pytest.raises(ValueError):
             find_critical_points(build_polynomial(P0, 3, (1, 0)), budget=budget)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e300, 1.7e308])
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_landscape_raises(n, lam):
+    # at lam = 1e300 the squared gradient norm overflows: the count read 0
+    # at n = 3 and 6 at n = 2, each after a numpy overflow warning; at
+    # 1.7e308 the gradient itself overflows
+    params = ModelParams(p=3, r=1, k=(3,), lam=(lam,))
+    with pytest.raises(ValueError, match="gradient leaves the float range"):
+        count_expected(params, n, 2, seed=0, budget=3)
+    with pytest.raises(ValueError, match="gradient leaves the float range"):
+        find_critical_points(build_polynomial(params, n, (0, 0)), budget=3)
 
 
 def test_euler_mismatch_counts_incomplete_landscapes():
