@@ -421,8 +421,8 @@ def find_critical_points(poly: SpikedPolynomial, budget: int = 200) -> list[Crit
     budget starts in one refilled lockstep stack; starts that end with a
     residual above _RESIDUAL_TOL are dropped, and points closer than 1e-6
     in geodesic distance are merged.  Antipodes are distinct critical
-    points and are never identified.  budget < 1 raises ValueError at
-    n >= 3.
+    points and are never identified.  budget < 1 at n >= 3, and a gradient
+    that leaves the float range, raise ValueError.
     """
     found = _circle_points([poly]) if poly.n == 2 else _multistart([poly], _RESIDUAL_TOL, budget)
     return _point_lists(found, 1, poly.params.r)[0]
@@ -475,10 +475,10 @@ def count_expected(
     group of landscapes advancing in one refilled lockstep stack.  Either
     way each landscape gets the points find_critical_points gives it alone,
     tallied from its pass's arrays with np.bincount (no CriticalPoint is
-    built), and the memory of a count does not grow with trials.  n < 2, and
-    budget < 1 at n >= 3, raise ValueError.  overlap_windows, when given,
-    holds one (lo, hi) window or None per coordinate; a list of another
-    length raises ValueError.
+    built), and the memory of a count does not grow with trials.  n < 2,
+    budget < 1 at n >= 3, and a gradient that leaves the float range raise
+    ValueError.  overlap_windows, when given, holds one (lo, hi) window or
+    None per coordinate; a list of another length raises ValueError.
 
     which is "total", a Morse index in [0, n - 1], or "max" (index n - 1);
     any other value raises ValueError.  Index-resolved
